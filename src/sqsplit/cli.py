@@ -67,6 +67,8 @@ _CRITERIA_COLUMNS = (
     "theta",
 )
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
 
 class UsageError(ValueError):
     """Bad command line / config combination (exit code 2)."""
@@ -91,6 +93,13 @@ class SweepConfig:
     def __post_init__(self):
         if self.n < 0:
             raise UsageError("--n must be nonnegative")
+        for flag, value in (
+            ("--t-min", self.t_min),
+            ("--t-max", self.t_max),
+            ("--epsilon", self.epsilon),
+        ):
+            if not math.isfinite(value):
+                raise UsageError(f"{flag} must be finite, got {value!r}")
         if self.mode not in ("mixed", "conditional"):
             raise UsageError("--mode must be 'mixed' or 'conditional'")
         if self.mode == "conditional":
@@ -163,22 +172,18 @@ def _write_json(path, payload):
             fh.write(text)
 
 
-def _state_for(cfg, t):
-    if cfg.mode == "mixed":
-        return mixed_split_state(cfg.n, t, window=cfg.epsilon)
-    return effective_evolution(cfg.nl, cfg.n - cfg.nl, t)
-
-
 def run_entanglement_sweep(cfg):
     """Rows (t, log negativity) over the time grid."""
     if cfg.mode == "mixed" and cfg.n > 24:
         raise UsageError("mixed-state negativity is limited to n <= 24")
 
     def one(t):
-        state = _state_for(cfg, float(t))
+        t = float(t)
         if cfg.mode == "mixed":
-            return float(t), log_negativity_mixed(state)
-        return float(t), log_negativity_pure(state)
+            state = mixed_split_state(cfg.n, t, window=cfg.epsilon)
+            return t, log_negativity_mixed(state)
+        state = effective_evolution(cfg.nl, cfg.n - cfg.nl, t)
+        return t, log_negativity_pure(state)
 
     return _parallel_map(one, cfg.time_grid(), cfg.threads)
 
@@ -214,11 +219,24 @@ def _criteria_row(ms, t):
 
 
 def run_criteria_sweep(cfg):
-    """Rows of every witness value over the time grid."""
+    """Rows of every witness value over the time grid.
+
+    In mixed mode the moments come from the split state before the
+    number collapse: every witness reads moments of operators that
+    conserve N_L, which the binomial mixture over N_L sectors shares
+    exactly, so no mixture is built and --epsilon plays no part.
+    """
+    if cfg.n < 3:
+        raise UsageError("criteria needs --n >= 3 for the squeezing angle")
+    coherent = spin_coherent(_INV_SQRT2, _INV_SQRT2, cfg.n)
 
     def one(t):
-        ms = moments(_state_for(cfg, float(t)))
-        return _criteria_row(ms, float(t))
+        t = float(t)
+        if cfg.mode == "mixed":
+            state = split(one_axis_twist(coherent, t))
+        else:
+            state = effective_evolution(cfg.nl, cfg.n - cfg.nl, t)
+        return _criteria_row(moments(state), t)
 
     return _parallel_map(one, cfg.time_grid(), cfg.threads)
 
@@ -234,6 +252,8 @@ def run_wigner(cfg, kind, k_r, t):
     n_right = cfg.n - cfg.nl
     rule = None
     if cfg.order is not None:
+        if cfg.order < 1:
+            raise UsageError("--order must be positive")
         rule = gauss_legendre_sphere(cfg.order, 2 * cfg.order)
     if kind == "marginal":
         grid = marginal_wigner_closed(cfg.nl, n_right, t, rule)
@@ -294,10 +314,9 @@ def run_equivalence_suite(
     worst_case = None
     sector_err = 0.0
     checks = 0
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for n in range(1, max_n + 1):
         for t in t_values:
-            state = one_axis_twist(spin_coherent(inv_sqrt2, inv_sqrt2, n), t)
+            state = one_axis_twist(spin_coherent(_INV_SQRT2, _INV_SQRT2, n), t)
             full = split(state)
             for n_left in range(n + 1):
                 prob, cond = project_left_number(full, n_left)
@@ -346,7 +365,12 @@ def _build_parser():
         p.add_argument("--n", type=int, help="total atom number")
         p.add_argument("--nl", type=int, help="left-well atom number")
         p.add_argument("--mode", choices=["mixed", "conditional"])
-        p.add_argument("--epsilon", type=float, help="mixture truncation window")
+        p.add_argument(
+            "--epsilon",
+            type=float,
+            help="mixture truncation window (entanglement only; "
+            "criteria moments in mixed mode are exact)",
+        )
         p.add_argument("--order", type=int, help="quadrature order override")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=["csv", "json"])
@@ -438,6 +462,13 @@ def _sweep_config(args, need_n=True):
     )
 
 
+def _resolve_time(args):
+    t = float(_resolve(args, "t", 0.0))
+    if not math.isfinite(t):
+        raise UsageError(f"--t must be finite, got {t!r}")
+    return t
+
+
 def _cmd_state(args):
     cfg = _sweep_config(args)
     nl = _resolve(args, "nl")
@@ -446,7 +477,7 @@ def _cmd_state(args):
     nl = int(nl)
     if not 0 <= nl <= cfg.n:
         raise UsageError("--nl must lie in [0, n]")
-    t = float(_resolve(args, "t", 0.0))
+    t = _resolve_time(args)
     state = effective_evolution(nl, cfg.n - nl, t)
     payload = {
         "n_left": state.n_left,
@@ -499,7 +530,7 @@ def _cmd_wigner(args):
     k_r = _resolve(args, "kr")
     if k_r is not None:
         k_r = int(k_r)
-    t = float(_resolve(args, "t", 0.0))
+    t = _resolve_time(args)
     grid = run_wigner(cfg, kind, k_r, t)
     thetas, phis, values = display_lattice(grid)
     config = cfg.echo(command="wigner", kind=kind, kr=k_r, t=t)

@@ -52,7 +52,8 @@ class StateVector:
         if self.amplitudes.shape != (self.n_total + 1,):
             raise ValueError("amplitude vector must have length n_total + 1")
         norm = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if abs(norm - 1.0) > 1e-9:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"state vector is not normalized (norm^2 = {norm})")
 
 
@@ -74,7 +75,7 @@ class ConditionalState:
         if self.psi.shape != (self.n_left + 1, self.n_right + 1):
             raise ValueError("amplitude matrix shape must be (n_left+1, n_right+1)")
         norm = float(np.vdot(self.psi, self.psi).real)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"conditional state is not normalized (norm^2 = {norm})")
 
     @property
@@ -123,6 +124,11 @@ class SplitFullState:
 
     def __init__(self, source):
         self._source = source
+
+    @property
+    def source(self):
+        """The StateVector that entered the beam splitter."""
+        return self._source
 
     @property
     def n_total(self):

@@ -244,6 +244,48 @@ def _gain_grid():
     return np.concatenate([-mags[::-1], [0.0], mags])
 
 
+def _grid_objective(ms, grid):
+    """The Giovannetti objective on grid x grid, g_y by row and g_z by
+    column.  Each entry repeats the scalar objective's operations in the
+    same order, so it is bit-identical to objective((g_y, g_z))."""
+    v = ms.V
+    var_z = _gain_variance(v, _LZ, _RZ, grid)
+    var_y = _gain_variance(v, _LY, _RY, grid)
+    # np.where(x < 0, 0, x) is max(x, 0.0), NaN and -0.0 included
+    var_z = np.where(var_z < 0.0, 0.0, var_z)
+    var_y = np.where(var_y < 0.0, 0.0, var_y)
+    den = np.abs(np.multiply.outer(grid, grid)) * ms.means[_LX] + ms.means[_RX]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.sqrt(np.multiply.outer(var_y, var_z)) / den
+    return np.where(den <= 0.0, math.inf, values)
+
+
+def _grid_minimum(ms, grid):
+    """Best grid point in scan order (g_y outer, g_z inner): a value more
+    than 1e-12 below the lead takes it, and within 1e-12 of the lead the
+    smaller |g_y| + |g_z| wins."""
+    flat = _grid_objective(ms, grid).ravel()
+    # each tie moves the lead up by at most 1e-12, so the lead never
+    # sits more than (flat.size + 1) * 1e-12 plus roundoff above the
+    # running minimum; entries further up can never take it and are
+    # skipped
+    floor = np.fmin.accumulate(flat)
+    reachable = flat <= floor + 1e-8 * np.maximum(1.0, np.abs(floor))
+    best_val = math.inf
+    best_g = (0.0, 0.0)
+    for index in np.flatnonzero(reachable).tolist():
+        val = float(flat[index])
+        g_y, g_z = grid[index // grid.size], grid[index % grid.size]
+        better = val < best_val - 1e-12
+        tied = abs(val - best_val) <= 1e-12
+        if better or (
+            tied and abs(g_y) + abs(g_z) < abs(best_g[0]) + abs(best_g[1])
+        ):
+            best_val = val
+            best_g = (g_y, g_z)
+    return best_val, best_g
+
+
 def giovannetti(ms):
     """Gain-optimized product criterion; returns (value, g_y, g_z).
 
@@ -255,19 +297,7 @@ def giovannetti(ms):
     if ms.means[_RX] <= _denominator_floor(ms):
         raise UndefinedWitnessError("mean transverse polarization too small")
     objective = _giovannetti_objective(ms)
-    grid = _gain_grid()
-    best_val = math.inf
-    best_g = (0.0, 0.0)
-    for g_y in grid:
-        for g_z in grid:
-            val = objective((g_y, g_z))
-            better = val < best_val - 1e-12
-            tied = abs(val - best_val) <= 1e-12
-            if better or (
-                tied and abs(g_y) + abs(g_z) < abs(best_g[0]) + abs(best_g[1])
-            ):
-                best_val = val
-                best_g = (g_y, g_z)
+    best_val, best_g = _grid_minimum(ms, _gain_grid())
     step = max(0.05, 0.1 * max(abs(best_g[0]), abs(best_g[1])))
     simplex = np.array(
         [

@@ -11,13 +11,15 @@ from sqsplit.cli import (
     EquivalenceReport,
     SweepConfig,
     UsageError,
+    _criteria_row,
     main,
     run_criteria_sweep,
     run_entanglement_sweep,
     run_equivalence_suite,
 )
 from sqsplit.entangle import log_negativity_pure
-from sqsplit.statekit import effective_evolution
+from sqsplit.observables import moments
+from sqsplit.statekit import effective_evolution, mixed_split_state
 
 
 def run_cli(argv, env_threads=None):
@@ -76,6 +78,15 @@ def test_state_requires_nl():
 def test_state_nl_out_of_range():
     code, _, err = run_cli(["state", "--n", "4", "--nl", "5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("t", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["state", "wigner"])
+def test_non_finite_time_exits_2(command, t):
+    code, out, err = run_cli([command, "--n", "4", "--nl", "2", "--t", t])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # --------------------------------------------------------- entanglement
@@ -185,6 +196,47 @@ def test_criteria_detects_at_short_times():
     assert row["E_G"] < 1.0
     assert row["xi"] < 1.0
     assert row["E_LR"] < 1.0 and row["E_RL"] < 1.0
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-4, 4e-3, 1.57e-2])
+def test_criteria_row_matches_sector_mixture_n500(t):
+    # mixed-mode rows come from the split state's moments; the sector
+    # route (truncated binomial mixture) must give the same row
+    (row,) = run_criteria_sweep(SweepConfig(n=500, t_min=t, t_max=t, steps=1))
+    want = _criteria_row(moments(mixed_split_state(500, t)), t)
+    for name, got, ref in zip(CRITERIA_COLUMNS, row, want):
+        tol = 1e-8
+        if name in ("g_y", "g_z"):
+            if t == 0.0:
+                # the coherent product's objective is flat along
+                # |g_y| = |g_z|, so its value does not pin the gains
+                continue
+            # Nelder-Mead resolves a smooth minimum's location only to
+            # about sqrt(eps): on the sector route alone a 1-ulp change
+            # of t moves g_y by 3.7e-8 at t = 1e-4
+            tol = 1e-6
+        assert abs(got - ref) <= tol * max(1.0, abs(ref)), (name, got, ref)
+    if t == 0.0:
+        assert abs(row[CRITERIA_COLUMNS.index("E_CM")]) <= 1.3e-10
+
+
+@pytest.mark.parametrize("n", ["0", "2"])
+@pytest.mark.parametrize("command", ["criteria", "steering"])
+def test_criteria_needs_three_atoms(command, n):
+    code, out, err = run_cli([command, "--n", n, "--steps", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "times", [["--t-max", "nan"], ["--t-min", "inf", "--t-max", "inf"]]
+)
+def test_criteria_non_finite_times_exit_2(times):
+    code, out, err = run_cli(["criteria", "--n", "10"] + times)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_steering_alias_matches_criteria():
@@ -371,6 +423,7 @@ def test_wigner_usage_errors():
         ["wigner", "--n", "4", "--nl", "2", "--kind", "conditional"],  # missing --kr
         ["wigner", "--n", "4", "--nl", "2", "--kind", "conditional", "--kr", "3"],
         ["wigner", "--n", "44", "--nl", "22", "--kind", "marginal"],  # size cap
+        ["wigner", "--n", "4", "--nl", "2", "--order", "0"],
     ]
     for argv in cases:
         code, _, err = run_cli(argv)
@@ -434,6 +487,11 @@ def test_sweep_config_validation():
         SweepConfig(n=4, mode="both")
     with pytest.raises(UsageError):
         SweepConfig(n=4, format="yaml")
+    for field in ("t_min", "t_max", "epsilon"):
+        with pytest.raises(UsageError):
+            SweepConfig(n=4, **{field: math.nan})
+    with pytest.raises(UsageError):
+        SweepConfig(n=4, t_min=-math.inf)
     cfg = SweepConfig(n=4, steps=3, t_max=1.0)
     grid = cfg.time_grid()
     assert grid.tolist() == [0.0, 0.5, 1.0]

@@ -3,6 +3,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqsplit.observables import (
     DensityMatrix,
@@ -16,10 +18,14 @@ from sqsplit.observables import (
 )
 from sqsplit.statekit import (
     ConditionalState,
+    SplitMixedState,
+    StateVector,
     effective_evolution,
     mixed_split_state,
     one_axis_twist,
+    project_left_number,
     spin_coherent,
+    split,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -170,6 +176,36 @@ def test_mixture_moments_match_dense_average():
     assert np.allclose(ms.means, agg_means, atol=1e-11)
     assert np.allclose(ms.V, 0.5 * (v + v.T), atol=1e-10)
     assert np.allclose(ms.Omega[:3, :3], 2.0 * agg_raw[:3, :3].imag, atol=1e-10)
+
+
+def _assert_moments_agree(got, want):
+    assert got.n_total == want.n_total
+    tol = 1e-9 * max(1.0, float(np.abs(want.V).max()))
+    for a, b in ((got.means, want.means), (got.V, want.V), (got.Omega, want.Omega)):
+        assert np.abs(a - b).max() <= tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 60), t=st.floats(0.0, math.pi / 4))
+def test_split_moments_match_sector_mixture(n, t):
+    # S_L and S_R conserve N_L, so the untruncated number-collapsed
+    # mixture has the moments of the split state itself
+    twisted = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t)
+    full = split(twisted)
+    assert full.source is twisted
+    _assert_moments_agree(moments(full), moments(mixed_split_state(n, t, window=0.0)))
+
+
+def test_split_moments_of_random_states_match_projected_sectors():
+    # the beam-splitter map holds for any input state, not only twisted
+    # coherent ones; the reference projects the split state on every N_L
+    rng = np.random.default_rng(7)
+    for n in range(13):
+        for _ in range(3):
+            amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            full = split(StateVector(n, amps / np.linalg.norm(amps)))
+            blocks = [project_left_number(full, l) for l in range(n + 1)]
+            _assert_moments_agree(moments(full), moments(SplitMixedState(n, blocks)))
 
 
 def test_quadrature_pair_variance_polynomial():

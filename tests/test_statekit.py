@@ -46,6 +46,20 @@ def test_conditional_state_guards():
         ConditionalState(2, 1, 2.0 * psi)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_twist_rejects_non_finite_time(t):
+    # the amplitudes come out NaN; the normalization check must see it
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, 6), t)
+
+
+def test_constructors_reject_nan_amplitudes():
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([math.nan, 1.0]))
+    with pytest.raises(ValueError):
+        ConditionalState(1, 1, np.full((2, 2), math.nan, dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # preparation and twisting
 

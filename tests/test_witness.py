@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from sqsplit.observables import moments, rotate_moments
-from sqsplit.statekit import ConditionalState, effective_evolution, mixed_split_state
+from sqsplit.observables import MomentSet, moments, rotate_moments
+from sqsplit.statekit import (
+    ConditionalState,
+    effective_evolution,
+    mixed_split_state,
+    one_axis_twist,
+    spin_coherent,
+    split,
+)
 from sqsplit.witness import (
+    _gain_grid,
+    _giovannetti_objective,
+    _grid_minimum,
     OptimizerError,
     UndefinedWitnessError,
     WitnessResult,
@@ -173,6 +183,50 @@ def test_giovannetti_zero_time():
     val, g_y, g_z = giovannetti(ms)
     assert abs(val - 1.0) < 1e-10
     assert g_y == 0.0 and g_z == 0.0
+
+
+def _scalar_grid_scan(ms):
+    """Reference for the grid stage of giovannetti: the scalar objective
+    called at every point in scan order (g_y outer, g_z inner)."""
+    objective = _giovannetti_objective(ms)
+    grid = _gain_grid()
+    best_val = math.inf
+    best_g = (0.0, 0.0)
+    for g_y in grid:
+        for g_z in grid:
+            val = objective((g_y, g_z))
+            better = val < best_val - 1e-12
+            tied = abs(val - best_val) <= 1e-12
+            if better or (
+                tied and abs(g_y) + abs(g_z) < abs(best_g[0]) + abs(best_g[1])
+            ):
+                best_val = val
+                best_g = (g_y, g_z)
+    return best_val, best_g
+
+
+def _random_moment_set(rng):
+    """Symmetric V, PSD or not, and means of either sign, so that clipped
+    variances and nonpositive denominators both occur."""
+    a = rng.normal(size=(6, 6)) * rng.uniform(0.1, 50.0)
+    v = a @ a.T if rng.random() < 0.5 else 0.5 * (a + a.T)
+    means = rng.normal(size=6) * rng.uniform(0.1, 50.0)
+    return MomentSet(int(rng.integers(3, 500)), means, v, np.zeros((6, 6)))
+
+
+def test_grid_minimum_matches_scalar_scan():
+    rng = np.random.default_rng(1808)
+    cases = [_random_moment_set(rng) for _ in range(200)]
+    # the coherent product at t = 0: a valley of ties along |g_y| = |g_z|
+    for n in (8, 500):
+        coherent = spin_coherent(1 / math.sqrt(2), 1 / math.sqrt(2), n)
+        ms = moments(split(one_axis_twist(coherent, 0.0)))
+        cases.append(rotate_moments(ms, squeezing_angle(n, 0.0)))
+    for ms in cases:
+        want_val, want_g = _scalar_grid_scan(ms)
+        got_val, got_g = _grid_minimum(ms, _gain_grid())
+        assert float(got_val).hex() == float(want_val).hex()
+        assert [float(g).hex() for g in got_g] == [float(g).hex() for g in want_g]
 
 
 def test_giovannetti_gain_stationarity():
