@@ -13,6 +13,8 @@ digits, lines end with LF, the resolved configuration is echoed into
 every output (a '#'-prefixed JSON comment line in CSV files), and
 sweeps fan t-points over a thread pool whose results are written in
 input order, so any --threads value produces byte-identical files.
+A witness that is undefined at a time point is written as NaN in CSV
+and as null in JSON, which has no NaN.
 Exit codes: 0 success, 2 usage error, 3 verification failure.
 """
 
@@ -22,12 +24,13 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .entangle import log_negativity_mixed, log_negativity_pure
-from .observables import moments, rotate_moments
+# unused here; kept because perfbench's criteria workload patches sqsplit.cli.rotate_moments
+from .observables import moments, rotate_moments  # noqa: F401
 from .statekit import (
     effective_evolution,
     mixed_split_state,
@@ -163,8 +166,13 @@ def _write_csv(path, config, columns, rows):
             fh.write(text)
 
 
+def _json_row(row):
+    # RFC 8259 has no NaN; an undefined witness cell is written as null
+    return [None if math.isnan(x) else x for x in row]
+
+
 def _write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -188,36 +196,6 @@ def run_entanglement_sweep(cfg):
     return _parallel_map(one, cfg.time_grid(), cfg.threads)
 
 
-def _criteria_row(ms, t):
-    theta = wit.squeezing_angle(ms.n_total, t)
-    rotated = rotate_moments(ms, theta)
-    nan = math.nan
-
-    def guard(fn, *args):
-        try:
-            return fn(*args)
-        except wit.UndefinedWitnessError:
-            return nan
-
-    e_g, g_y, g_z = nan, nan, nan
-    try:
-        e_g, g_y, g_z = wit.giovannetti(rotated)
-    except wit.UndefinedWitnessError:
-        pass
-    return (
-        t,
-        guard(wit.dgcz, ms),
-        guard(wit.covariance_criterion, ms),
-        e_g,
-        guard(wit.wineland_xi, rotated),
-        guard(lambda m: wit.epr_steering(m, "lr")[0], rotated),
-        guard(lambda m: wit.epr_steering(m, "rl")[0], rotated),
-        g_y,
-        g_z,
-        theta,
-    )
-
-
 def run_criteria_sweep(cfg):
     """Rows of every witness value over the time grid.
 
@@ -236,7 +214,7 @@ def run_criteria_sweep(cfg):
             state = split(one_axis_twist(coherent, t))
         else:
             state = effective_evolution(cfg.nl, cfg.n - cfg.nl, t)
-        return _criteria_row(moments(state), t)
+        return astuple(wit.witness_suite(moments(state), t))
 
     return _parallel_map(one, cfg.time_grid(), cfg.threads)
 
@@ -499,7 +477,7 @@ def _cmd_entanglement(args):
     if cfg.format == "json":
         _write_json(
             cfg.out,
-            {"config": config, "columns": ["t", "logneg"], "rows": [list(r) for r in rows]},
+            {"config": config, "columns": ["t", "logneg"], "rows": [_json_row(r) for r in rows]},
         )
     else:
         _write_csv(cfg.out, config, ("t", "logneg"), rows)
@@ -516,7 +494,7 @@ def _cmd_criteria(args, command):
             {
                 "config": config,
                 "columns": list(_CRITERIA_COLUMNS),
-                "rows": [list(r) for r in rows],
+                "rows": [_json_row(r) for r in rows],
             },
         )
     else:

@@ -35,7 +35,6 @@ __all__ = [
 
 _COMPONENTS = ("x", "y", "z")
 _WELLS = ("left", "right")
-_SWAP = np.array([3, 4, 5, 0, 1, 2])
 
 
 @dataclass(frozen=True)
@@ -214,9 +213,7 @@ def moments(state, theta=None):
     of split(one_axis_twist(spin_coherent(...), t)).
 
     A SplitMixedState is summed sector by sector in O(N^2 sqrt N);
-    moments are normalized by the retained sector mass, and
-    transposed-view sector pairs are computed only once (the mirror
-    block's moments follow by relabeling the wells).
+    moments are normalized by the retained sector mass.
     """
     if isinstance(state, ConditionalState):
         raw, means = _gram(state)
@@ -227,20 +224,8 @@ def moments(state, theta=None):
         agg_raw = np.zeros((6, 6), dtype=complex)
         agg_means = np.zeros(6)
         total = 0.0
-        cache = {}
         for weight, block in state.blocks:
-            psi = block.psi
-            base = psi.base if psi.base is not None else None
-            hit = None
-            if base is not None and id(base) in cache:
-                g0, m0, shape = cache[id(base)]
-                if shape == psi.shape[::-1]:
-                    hit = (g0[_SWAP][:, _SWAP], m0[_SWAP])
-            if hit is None:
-                raw, means = _gram(block)
-                cache[id(psi)] = (raw, means, psi.shape)
-            else:
-                raw, means = hit
+            raw, means = _gram(block)
             agg_raw += weight * raw
             agg_means += weight * means
             total += weight

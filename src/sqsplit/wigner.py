@@ -3,11 +3,12 @@
 A spin-j density matrix is expanded in multipoles
 rho_kq = sum_{m,m'} (-1)^{j-m} sqrt(2k+1) (j k j; -m q m') <j m|rho|j m'>
 and the Wigner function is the harmonic sum W = sum rho_kq Y_kq, so
-integral(W dOmega) = sqrt(4 pi/(2j+1)) tr(rho).  Besides the generic
-density-matrix route there are closed forms that build the multipoles
-of the marginal (right well traced out) and of the heralded state after
-a right-well Fock measurement directly from binomial sums; agreement
-between the routes cross-validates the whole construction chain.
+integral(W dOmega) = sqrt(4 pi/(2j+1)) tr(rho).  Every Wigner function
+goes through that one multipole expansion.  The closed forms build the
+left-well density matrix of the marginal (right well traced out) and of
+the heralded state after a right-well Fock measurement directly from
+binomial weights; agreement with the matrices traced or projected out
+of the two-well state cross-validates the whole construction chain.
 """
 
 import math
@@ -111,7 +112,7 @@ def _evaluate(coeffs, two_j, thetas, phis):
     phase = np.exp(1j * np.outer(np.arange(-k_max, k_max + 1), phis))
     w = f.T @ phase
     residue = float(np.abs(w.imag).max())
-    if residue > 1e-10:
+    if residue > 1e-10 * max(1.0, float(np.abs(w.real).max())):
         raise ValueError(f"Wigner values are not real (imaginary residue {residue})")
     return w.real
 
@@ -141,33 +142,22 @@ def marginal_wigner_closed(n_left, n_right, t, rule=None):
 
     The right-well trace collapses into the factor
     exp(i 4 (m-m')(m+m'-N_R) t) (1 + exp(i 8 (m-m') t))^{N_R}, so the
-    multipoles come from a single double sum over m, m'; no density
-    matrix is formed.  Unit trace by construction.
+    left-well density matrix is built from binomial weights without
+    forming the two-well state.  Unit trace by construction.
     """
     n = n_left + n_right
     two_j = n_left
     if rule is None:
         rule = default_rule(0.5 * two_j)
-    dim = two_j + 1
-    table = _threej_table(two_j)
-    k_index = np.arange(dim)
-    coeffs = np.zeros((dim, 2 * two_j + 1), dtype=complex)
-    for i in range(dim):
-        m = -0.5 * two_j + i
-        for ip in range(dim):
-            mp = -0.5 * two_j + ip
-            q = int(round(m - mp))
-            sign = (-1.0) ** (two_j - i)
-            amp = math.exp(
-                0.5 * (log_binomial(n_left, i) + log_binomial(n_left, ip)) - n * _LN2
-            )
-            phase = np.exp(1j * 4.0 * (m - mp) * (m + mp - n_right) * t)
-            envelope = (1.0 + np.exp(1j * 8.0 * (m - mp) * t)) ** n_right
-            term = sign * amp * phase * envelope
-            ks = np.abs(q) <= k_index
-            coeffs[ks, q + two_j] += (
-                np.sqrt(2 * k_index[ks] + 1.0) * table[ks, i, ip] * term
-            )
+    k = np.arange(two_j + 1)
+    m, log_binom = k - 0.5 * two_j, log_binomial(n_left, k)
+    diff = np.subtract.outer(m, m)
+    rho = (
+        np.exp(0.5 * np.add.outer(log_binom, log_binom) - n * _LN2)
+        * np.exp(4j * diff * (np.add.outer(m, m) - n_right) * t)
+        * (1.0 + np.exp(8j * diff * t)) ** n_right
+    )
+    coeffs = _multipoles(rho, two_j)
     values = _evaluate(coeffs, two_j, rule.thetas, rule.phis)
     return WignerGrid(0.5 * two_j, rule, values, coeffs)
 
@@ -176,9 +166,9 @@ def conditional_wigner_closed(n_left, n_right, k_r, t, rule=None):
     """Closed-form Wigner function of the left well heralded on measuring
     k_r mode-a atoms in the right well.
 
-    Multipoles carry exp(i 4 (m-m')(2 k_r - N_R + m + m') t); the raw sum
-    is divided by its trace constant so the result is unit trace, and
-    the divisor is recorded as norm_constant.
+    The left-well density matrix carries exp(i 4 (m-m')(2 k_r - N_R +
+    m + m') t); its multipoles are divided by their trace constant so the
+    result is unit trace, and the divisor is recorded as norm_constant.
     """
     if not 0 <= k_r <= n_right:
         raise ValueError("k_r out of range")
@@ -186,27 +176,16 @@ def conditional_wigner_closed(n_left, n_right, k_r, t, rule=None):
     two_j = n_left
     if rule is None:
         rule = default_rule(0.5 * two_j)
-    dim = two_j + 1
-    table = _threej_table(two_j)
-    k_index = np.arange(dim)
-    coeffs = np.zeros((dim, 2 * two_j + 1), dtype=complex)
-    for i in range(dim):
-        m = -0.5 * two_j + i
-        for ip in range(dim):
-            mp = -0.5 * two_j + ip
-            q = int(round(m - mp))
-            sign = (-1.0) ** (two_j - i)
-            amp = math.exp(
-                0.5 * (log_binomial(n_left, i) + log_binomial(n_left, ip))
-                + log_binomial(n_right, k_r)
-                - n * _LN2
-            )
-            phase = np.exp(1j * 4.0 * (m - mp) * (2 * k_r - n_right + m + mp) * t)
-            term = sign * amp * phase
-            ks = np.abs(q) <= k_index
-            coeffs[ks, q + two_j] += (
-                np.sqrt(2 * k_index[ks] + 1.0) * table[ks, i, ip] * term
-            )
+    k = np.arange(two_j + 1)
+    m, log_binom = k - 0.5 * two_j, log_binomial(n_left, k)
+    rho = np.exp(
+        0.5 * np.add.outer(log_binom, log_binom)
+        + log_binomial(n_right, k_r)
+        - n * _LN2
+    ) * np.exp(
+        4j * np.subtract.outer(m, m) * (2 * k_r - n_right + np.add.outer(m, m)) * t
+    )
+    coeffs = _multipoles(rho, two_j)
     # normalize to unit trace: a unit-trace operator has c_00 = 1/sqrt(2j+1)
     norm = float(coeffs[0, two_j].real) * math.sqrt(two_j + 1.0)
     if norm <= 0.0:

@@ -111,65 +111,17 @@ def dgcz(ms):
     return num / den
 
 
-def hermitian_min_eigenvalue(m, tol=1e-12, max_sweeps=60):
-    """Smallest eigenvalue of a Hermitian matrix via cyclic Jacobi.
-
-    Works on the 2d x 2d real symmetric embedding [[A, -B], [B, A]] of
-    M = A + iB, whose spectrum is that of M doubled.  Sweeps rotate out
-    every off-diagonal pair until the off-diagonal mass falls below
-    tol relative to the Frobenius norm.
-    """
+def hermitian_min_eigenvalue(m):
+    """Smallest eigenvalue of a nonempty Hermitian matrix (LAPACK eigvalsh)."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if m.shape[0] == 0:
+        raise ValueError("matrix must be nonempty")
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.conj().T).max() > 1e-10 * scale:
         raise ValueError("matrix must be Hermitian")
-    d = m.shape[0]
-    if d == 0:
-        raise ValueError("matrix must be nonempty")
-    a = np.block([[m.real, -m.imag], [m.imag, m.real]])
-    n = 2 * d
-    fro = math.sqrt(float(np.sum(a * a)))
-    if fro == 0.0:
-        return 0.0
-
-    def off_diagonal():
-        # summed directly; fro^2 - sum(diag^2) cancels catastrophically
-        # once the off-diagonal mass is small
-        mask = ~np.eye(n, dtype=bool)
-        return math.sqrt(float(np.sum(a[mask] ** 2)))
-
-    for _ in range(max_sweeps):
-        if off_diagonal() <= tol * fro:
-            return float(np.min(np.diag(a)))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                # negligible pivots are zeroed, not rotated: dividing by
-                # them overflows theta and stalls the sweep
-                if abs(apq) <= 1e-16 * fro / n:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if abs(theta) > 1e8:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(1.0 + theta * theta)
-                    )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                a[p, :], a[q, :] = c * a[p, :] - s * a[q, :], s * a[p, :] + c * a[q, :]
-                a[p, q] = a[q, p] = 0.0
-    if off_diagonal() <= tol * fro:
-        return float(np.min(np.diag(a)))
-    raise OptimizerError(
-        "Jacobi eigensolver did not converge", best=float(np.min(np.diag(a)))
-    )
+    return float(np.linalg.eigvalsh(m)[0])
 
 
 def covariance_criterion(ms, n=None):
@@ -344,12 +296,20 @@ def wineland_xi(ms, n=None):
     return n * var_tot / (mx * mx)
 
 
+def _steering_gain(v, steer, target):
+    """The gain cov/var minimizing Var(g A_steer - A_target)."""
+    var = v[steer, steer]
+    return v[steer, target] / var if var > 0.0 else 0.0
+
+
 def epr_steering(ms, direction="lr"):
     """Conditional-variance steering criterion; returns (value, g_y, g_z).
 
     E^{A->B} = sqrt(Var(g_z S_A^z' - S_B^z') Var(g_y S_A^y' - S_B^y')) /
-    <S_B^x>, with each gain at its closed-form optimum cov/var.  Values
-    below 1 certify steering of B by measurements on A.
+    <S_B^x>, with each gain at its closed-form optimum cov/var.  A
+    steering quadrature without variance (an empty well A) has cov = 0
+    by Cauchy-Schwarz and gets gain 0.  Values below 1 certify steering
+    of B by measurements on A.
     """
     v = ms.V
     if direction == "lr":
@@ -364,8 +324,8 @@ def epr_steering(ms, direction="lr"):
         raise ValueError("direction must be 'lr' or 'rl'")
     if mx <= _denominator_floor(ms):
         raise UndefinedWitnessError("mean transverse polarization too small")
-    g_z = v[steer_z, target_z] / v[steer_z, steer_z]
-    g_y = v[steer_y, target_y] / v[steer_y, steer_y]
+    g_z = _steering_gain(v, steer_z, target_z)
+    g_y = _steering_gain(v, steer_y, target_y)
     var_z = _gain_variance(v, steer_z, target_z, g_z)
     var_y = _gain_variance(v, steer_y, target_y, g_y)
     return math.sqrt(max(var_z, 0.0) * max(var_y, 0.0)) / mx, g_y, g_z
@@ -376,21 +336,33 @@ def witness_suite(ms, t):
 
     dgcz and the covariance criterion use the bare (x, y, z) axes; the
     rest are evaluated on the quadratures rotated by the squeezing angle
-    theta(t).
+    theta(t).  A witness that is undefined on these moments
+    (UndefinedWitnessError: its mean polarization is below the floor)
+    reports NaN in its own fields only.  For giovannetti those are e_g,
+    g_y and g_z, which are also NaN when the gain refinement does not
+    converge (OptimizerError).
     """
     theta = squeezing_angle(ms.n_total, t)
     rotated = rotate_moments(ms, theta)
-    e_g, g_y, g_z = giovannetti(rotated)
-    e_lr, _, _ = epr_steering(rotated, "lr")
-    e_rl, _, _ = epr_steering(rotated, "rl")
+
+    def guard(witness):
+        try:
+            return witness()
+        except UndefinedWitnessError:
+            return math.nan
+
+    try:
+        e_g, g_y, g_z = giovannetti(rotated)
+    except (UndefinedWitnessError, OptimizerError):
+        e_g = g_y = g_z = math.nan
     return WitnessResult(
         t=float(t),
-        e_dgcz=float(dgcz(ms)),
+        e_dgcz=float(guard(lambda: dgcz(ms))),
         e_cm=float(covariance_criterion(ms)),
         e_g=float(e_g),
-        xi=float(wineland_xi(rotated)),
-        e_steer_lr=float(e_lr),
-        e_steer_rl=float(e_rl),
+        xi=float(guard(lambda: wineland_xi(rotated))),
+        e_steer_lr=float(guard(lambda: epr_steering(rotated, "lr")[0])),
+        e_steer_rl=float(guard(lambda: epr_steering(rotated, "rl")[0])),
         g_y=float(g_y),
         g_z=float(g_z),
         theta=float(theta),

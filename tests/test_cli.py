@@ -3,6 +3,7 @@ import json
 import math
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from sqsplit.cli import (
     EquivalenceReport,
     SweepConfig,
     UsageError,
-    _criteria_row,
     main,
     run_criteria_sweep,
     run_entanglement_sweep,
@@ -20,6 +20,7 @@ from sqsplit.cli import (
 from sqsplit.entangle import log_negativity_pure
 from sqsplit.observables import moments
 from sqsplit.statekit import effective_evolution, mixed_split_state
+from sqsplit.witness import witness_suite
 
 
 def run_cli(argv, env_threads=None):
@@ -203,7 +204,7 @@ def test_criteria_row_matches_sector_mixture_n500(t):
     # mixed-mode rows come from the split state's moments; the sector
     # route (truncated binomial mixture) must give the same row
     (row,) = run_criteria_sweep(SweepConfig(n=500, t_min=t, t_max=t, steps=1))
-    want = _criteria_row(moments(mixed_split_state(500, t)), t)
+    want = astuple(witness_suite(moments(mixed_split_state(500, t)), t))
     for name, got, ref in zip(CRITERIA_COLUMNS, row, want):
         tol = 1e-8
         if name in ("g_y", "g_z"):
@@ -218,6 +219,41 @@ def test_criteria_row_matches_sector_mixture_n500(t):
         assert abs(got - ref) <= tol * max(1.0, abs(ref)), (name, got, ref)
     if t == 0.0:
         assert abs(row[CRITERIA_COLUMNS.index("E_CM")]) <= 1.3e-10
+
+
+def test_criteria_survives_gain_refinement_failure():
+    # E_G is about 2.4e4 here: Nelder-Mead reaches the minimum but its
+    # spread in f never falls below the value's ulp, so it runs out of
+    # iterations and only the Giovannetti cells go NaN
+    t = "0.29310344827586204"
+    code, out, _ = run_cli(
+        ["criteria", "--n", "12", "--mode", "conditional", "--nl", "5",
+         "--t-min", t, "--t-max", t, "--steps", "1"]
+    )
+    assert code == 0
+    _, columns, rows = parse_csv(out)
+    nan_cells = {name for name, x in zip(columns, rows[0]) if math.isnan(x)}
+    assert nan_cells == {"E_G", "g_y", "g_z"}
+
+
+def test_criteria_json_is_strict(tmp_path):
+    # an empty left well leaves E_RL undefined; RFC 8259 has no NaN, so
+    # the cell is null and a strict parser accepts the file
+    path = tmp_path / "crit.json"
+    code, _, _ = run_cli(
+        ["criteria", "--n", "10", "--mode", "conditional", "--nl", "0",
+         "--steps", "2", "--format", "json", "--out", str(path)]
+    )
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(path.read_text(), parse_constant=reject)
+    rows = payload["rows"]
+    e_rl = payload["columns"].index("E_RL")
+    assert [row[e_rl] for row in rows] == [None, None]
+    assert all(x is not None for row in rows for i, x in enumerate(row) if i != e_rl)
 
 
 @pytest.mark.parametrize("n", ["0", "2"])

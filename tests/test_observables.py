@@ -178,6 +178,19 @@ def test_mixture_moments_match_dense_average():
     assert np.allclose(ms.Omega[:3, :3], 2.0 * agg_raw[:3, :3].imag, atol=1e-10)
 
 
+def test_mixture_moments_ignore_block_memory_layout():
+    # the second block is a flipped, transposed view of the first one's
+    # amplitudes: its moments are its own, not the first's with the
+    # wells relabeled
+    a = effective_evolution(2, 4, 0.17)
+    view = ConditionalState(4, 2, a.psi.T[::-1])
+    copy = ConditionalState(4, 2, view.psi.copy())
+    got = moments(SplitMixedState(6, [(0.5, a), (0.5, view)]))
+    want = moments(SplitMixedState(6, [(0.5, a), (0.5, copy)]))
+    for x, y in ((got.means, want.means), (got.V, want.V), (got.Omega, want.Omega)):
+        assert np.array_equal(x, y)
+
+
 def _assert_moments_agree(got, want):
     assert got.n_total == want.n_total
     tol = 1e-9 * max(1.0, float(np.abs(want.V).max()))

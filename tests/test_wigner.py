@@ -78,6 +78,15 @@ def test_wigner_linearity():
     assert np.abs(combo.values - parts).max() < 1e-10
 
 
+def test_wigner_scales_with_the_matrix():
+    # the imaginary-residue check is relative to the values: at this size
+    # the roundoff residue of 1e3 rho is about 7e-9
+    rho = reduced_density_left(effective_evolution(40, 40, 0.2)).entries
+    want = 1e3 * wigner_from_density(rho).values
+    got = wigner_from_density(1e3 * rho).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_rotational_covariance():
     # e^{-i S^z phi0 / 2} translates the Wigner function by one phi node
     rho = _random_density(7, 12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_min_eigenvalue_against_lapack():
 
 
 def test_min_eigenvalue_tiny_pivots():
-    # nearly diagonal input exercises the pivot-skip path
+    # off-diagonal entries far below the diagonal's roundoff
     m = np.diag([1.0, 2.0, 3.0]).astype(complex)
     m[0, 1] = m[1, 0] = 1e-200
     assert abs(hermitian_min_eigenvalue(m) - 1.0) < 1e-12
@@ -278,6 +279,21 @@ def test_epr_steering_zero_time():
             assert abs(g_y) < 1e-12 and abs(g_z) < 1e-12
 
 
+def test_epr_steering_from_empty_well():
+    # an empty steering well has no variance and, by Cauchy-Schwarz, no
+    # covariance: the gains are 0 rather than 0/0, and E_LR reduces to
+    # the right well's own uncertainty product
+    n, t = 10, 0.02
+    rot = rotate_moments(moments(effective_evolution(0, n, t)), squeezing_angle(n, t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, g_y, g_z = epr_steering(rot, "lr")
+    assert g_y == 0.0 and g_z == 0.0
+    assert math.isfinite(val) and val >= 1.0
+    v = rot.V
+    assert val == math.sqrt(v[5, 5] * v[4, 4]) / rot.means[3]
+
+
 def test_epr_steering_direction_symmetry():
     n, t = 10, 0.01
     ms = rotate_moments(moments(mixed_split_state(n, t)), squeezing_angle(n, t))
@@ -326,3 +342,11 @@ def test_witness_suite_bundle():
     assert result.entangled == (result.e_dgcz < 1.0 or result.e_cm < 0.0 or result.e_g < 1.0)
     assert result.steerable == (min(result.e_steer_lr, result.e_steer_rl) < 1.0)
     assert issubclass(OptimizerError, RuntimeError)
+
+
+def test_witness_suite_undefined_witnesses_are_nan():
+    result = witness_suite(_z_polarized(), 0.01)
+    undefined = {"e_dgcz", "e_g", "xi", "e_steer_lr", "e_steer_rl", "g_y", "g_z"}
+    for name in ("t", "e_dgcz", "e_cm", "e_g", "xi", "e_steer_lr", "e_steer_rl",
+                 "g_y", "g_z", "theta"):
+        assert math.isnan(getattr(result, name)) == (name in undefined), name
