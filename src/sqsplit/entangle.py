@@ -8,6 +8,13 @@ orthogonal under left partial transposition, so the trace norms add
 with their sector weights.  A dense route that materializes the full
 two-well density matrix and transposes the left factor explicitly is
 kept as an independent cross-check for small N.
+
+Mirror sectors n_left and N - n_left of the mixture are transposes of
+each other and share their singular values, so a block whose amplitude
+matrix equals the transpose of an already decomposed mirror reuses that
+nuclear norm (checked elementwise, never by identity).  The certified
+bracket also trims each block to the Fock rows and columns that carry
+its weight and widens the upper bound by what the trim can have cost.
 """
 
 import math
@@ -60,11 +67,56 @@ def log_negativity_pure(state):
     return 2.0 * math.log2(float(np.sum(lam)))
 
 
-def _block_trace_norms(mixture):
+# Squared norm the bracket may drop from each block before its SVD:
+# far below the width the truncation window already leaves, so the
+# trim widens the bracket only at roundoff level.
+_TRIM_BUDGET = 1e-30
+
+
+def _nuclear_norm_bounds(psi, budget):
+    """(s, slack) with s <= ||psi||_* <= s + slack.
+
+    The smallest-norm rows and columns are dropped while their summed
+    squared norm d stays <= budget, and s is the nuclear norm of the
+    kept submatrix.  A compression never raises singular values, so s
+    is a lower bound.  The dropped part has Frobenius norm <= sqrt(d)
+    and rank r <= #dropped rows + #dropped columns, so its nuclear norm,
+    and with it the gap, is at most sqrt(r d).  budget = 0 keeps the
+    whole matrix and the slack is exactly 0.
+    """
+    slack = 0.0
+    if budget > 0.0:
+        abs2 = psi.real**2 + psi.imag**2
+        norms = np.concatenate((abs2.sum(axis=1), abs2.sum(axis=0)))
+        order = np.argsort(norms, kind="stable")
+        n_drop = int(np.searchsorted(np.cumsum(norms[order]), budget, side="right"))
+        if n_drop:
+            m, n = psi.shape
+            keep = np.ones(m + n, dtype=bool)
+            keep[order[:n_drop]] = False
+            slack = math.sqrt(min(m, n, n_drop) * float(np.sum(norms[~keep])))
+            psi = psi[np.ix_(keep[:m], keep[m:])]
+    lam = np.linalg.svd(psi, compute_uv=False)
+    return float(np.sum(lam)), slack
+
+
+def _block_trace_norms(mixture, budget=0.0):
+    """(weight, s, slack) per block, s <= ||psi||_* <= s + slack.
+
+    The block's trace-norm term in ||rho^{T_L}||_1 is weight ||psi||_*^2.
+    A block whose psi equals the transpose of its mirror's reuses the
+    mirror's bounds; each block keeps its own weight.
+    """
+    done = {}
     terms = []
     for weight, block in mixture.blocks:
-        lam = np.linalg.svd(block.psi, compute_uv=False)
-        terms.append((weight, float(np.sum(lam)) ** 2))
+        mirror = done.get(block.n_right)
+        if mirror is not None and np.array_equal(mirror[0], block.psi.T):
+            bounds = mirror[1]
+        else:
+            bounds = _nuclear_norm_bounds(block.psi, budget)
+        done[block.n_left] = (block.psi, bounds)
+        terms.append((weight, *bounds))
     return terms
 
 
@@ -73,15 +125,16 @@ def log_negativity_mixed(mixture):
 
     Blocks at different left atom number remain orthogonal after left
     partial transposition, so ||rho^{T_L}||_1 = sum_l p_l (sum lambda^(l))^2.
-    Requires the untruncated mixture; for truncated ones use
-    log_negativity_bracket.
+    Mirror blocks that are transposes share one SVD; nothing is trimmed,
+    so the result is exact.  Requires the untruncated mixture; for
+    truncated ones use log_negativity_bracket.
     """
     deficit = 1.0 - mixture.retained_mass
     if deficit > 1e-9:
         raise ValueError(
             "mixture is truncated; log_negativity_bracket gives certified bounds"
         )
-    total = sum(w * s for w, s in _block_trace_norms(mixture))
+    total = sum(w * s**2 for w, s, _ in _block_trace_norms(mixture))
     return math.log2(total)
 
 
@@ -90,10 +143,18 @@ def log_negativity_bracket(mixture):
 
     Missing sectors contribute a trace-norm factor between 1 (product)
     and min(N_L, N_R) + 1 (maximally entangled), weighted by their
-    untruncated probabilities.
+    untruncated probabilities.  Present blocks are trimmed to the Fock
+    rows and columns outside a dropped squared norm d <= 1e-30 before
+    their SVD: the kept submatrix's nuclear norm s bounds the block's
+    from below and s + sqrt(r d) from above, r the rank the dropped
+    rows and columns can hold, so the lower sum takes p s^2 and the
+    upper p (s + sqrt(r d))^2.  Mirror blocks that are transposes share
+    one SVD.
     """
     n = mixture.n_total
-    total = sum(w * s for w, s in _block_trace_norms(mixture))
+    terms = _block_trace_norms(mixture, _TRIM_BUDGET)
+    low_total = sum(w * s**2 for w, s, _ in terms)
+    high_total = sum(w * (s + slack) ** 2 for w, s, slack in terms)
     present = {block.n_left for _, block in mixture.blocks}
     low_extra = 0.0
     high_extra = 0.0
@@ -103,7 +164,7 @@ def log_negativity_bracket(mixture):
         p = math.exp(log_binomial(n, l) - n * math.log(2.0))
         low_extra += p
         high_extra += p * (min(l, n - l) + 1)
-    return math.log2(total + low_extra), math.log2(total + high_extra)
+    return math.log2(low_total + low_extra), math.log2(high_total + high_extra)
 
 
 def _dense_basis(n):

@@ -265,7 +265,8 @@ def giovannetti(ms):
         options={
             "initial_simplex": simplex,
             "xatol": 1e-9,
-            "fatol": 1e-13,
+            # relative: an absolute 1e-13 is below one ulp once E_G > ~500
+            "fatol": 1e-13 * max(1.0, abs(best_val)),
             "maxiter": 2000,
         },
     )

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqsplit.entangle import (
+    _TRIM_BUDGET,
     SchmidtSpectrum,
+    _block_trace_norms,
+    _nuclear_norm_bounds,
     log_negativity_bracket,
     log_negativity_dense,
     log_negativity_mixed,
@@ -13,6 +18,7 @@ from sqsplit.entangle import (
 )
 from sqsplit.statekit import (
     ConditionalState,
+    SplitMixedState,
     effective_evolution,
     mixed_split_state,
     one_axis_twist,
@@ -175,3 +181,105 @@ def test_entanglement_curves_over_one_period():
     assert np.all(e_mix >= e_cond[3] - 0.01)
     assert np.mean(e_mix > e_cond[3]) > 0.95
     assert e_cond[5].max() <= math.log2(6) + 1e-12
+
+
+def _nuclear_norm(psi):
+    return float(np.sum(np.linalg.svd(psi, compute_uv=False)))
+
+
+def test_trimmed_nuclear_norm_bounds_random_matrices():
+    # rows and columns scaled towards zero get trimmed; the kept
+    # submatrix bounds the nuclear norm from below and the slack
+    # sqrt(r d) closes the gap from above
+    rng = np.random.default_rng(2002)
+    trimmed = 0
+    for _ in range(300):
+        m, n = (int(x) for x in rng.integers(1, 30, size=2))
+        psi = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        rows = rng.random(m) < 0.3
+        cols = rng.random(n) < 0.3
+        psi[rows] *= 10.0 ** rng.uniform(-18.0, -1.0, size=(int(rows.sum()), 1))
+        psi[:, cols] *= 10.0 ** rng.uniform(-18.0, -1.0, size=int(cols.sum()))
+        budget = 10.0 ** rng.uniform(-32.0, -1.0)
+        full = _nuclear_norm(psi)
+        s, slack = _nuclear_norm_bounds(psi, budget)
+        assert s <= full * (1.0 + 1e-12)
+        assert full <= (s + slack) * (1.0 + 1e-12)
+        assert slack <= math.sqrt(min(m, n) * budget)
+        trimmed += slack > 0.0
+    assert trimmed > 100
+    # the slack is tight when each dropped row holds one singular value
+    eps = 1e-3
+    psi = np.diag([1.0, eps, eps, eps]).astype(complex)
+    s, slack = _nuclear_norm_bounds(psi, 3.5 * eps**2)
+    assert s == 1.0
+    assert abs(slack - 3.0 * eps) < 1e-15
+    assert abs(_nuclear_norm(psi) - (s + slack)) < 1e-15
+    # no budget, no trim: the plain singular-value sum
+    psi = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+    assert _nuclear_norm_bounds(psi, 0.0) == (_nuclear_norm(psi), 0.0)
+
+
+@pytest.mark.parametrize("n", [120, 200])
+@pytest.mark.parametrize("t", [0.0, 4e-3, 0.02, 0.3])
+def test_bracket_contains_untruncated_negativity(n, t):
+    exact = log_negativity_mixed(mixed_split_state(n, t, window=0.0))
+    low, high = log_negativity_bracket(mixed_split_state(n, t))
+    assert low <= exact <= high
+
+
+def test_mirror_reuse_needs_transposed_amplitudes():
+    # high blocks twisted for another time have the mirror's shape but
+    # not its amplitudes, so each needs its own decomposition
+    n, t_low, t_high = 9, 0.13, 0.31
+    blocks = [
+        (w, b if b.n_left <= b.n_right else effective_evolution(b.n_left, b.n_right, t_high))
+        for w, b in mixed_split_state(n, t_low, window=0.0).blocks
+    ]
+    mixture = SplitMixedState(n, blocks)
+    per_block = sum(w * _nuclear_norm(b.psi) ** 2 for w, b in blocks)
+    got = log_negativity_mixed(mixture)
+    assert abs(got - math.log2(per_block)) < 1e-12
+    assert abs(got - log_negativity_mixed(mixed_split_state(n, t_low, window=0.0))) > 1e-3
+    for (w, b), (w_got, s, slack) in zip(blocks, _block_trace_norms(mixture)):
+        assert w_got == w and slack == 0.0
+        assert abs(s - _nuclear_norm(b.psi)) < 1e-12
+
+
+def test_bracket_n500_one_svd_per_mirror_pair(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    mixture = mixed_split_state(500, 0.0)
+    assert len(mixture.blocks) == 155
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    low, high = log_negativity_bracket(mixture)
+    assert len(calls) <= 78
+    # the trim shrinks the decompositions and keeps the bracket narrow
+    assert max(max(shape) for shape in calls) < 251
+    assert 0.0 <= high - low <= 1e-9
+    assert abs(low) < 1e-10
+
+
+def test_trimmed_block_bounds_n200():
+    mixture = mixed_split_state(200, 0.02)
+    exact = _block_trace_norms(mixture)
+    trimmed = _block_trace_norms(mixture, _TRIM_BUDGET)
+    assert all(slack == 0.0 for _, _, slack in exact)
+    assert any(slack > 0.0 for _, _, slack in trimmed)
+    for (w, s, _), (w_t, s_t, slack) in zip(exact, trimmed):
+        assert w_t == w
+        assert s_t <= s * (1.0 + 1e-13)
+        assert s <= (s_t + slack) * (1.0 + 1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 60), t=st.floats(0.0, math.pi / 4))
+def test_schmidt_spectra_normalized(n, t):
+    for _, block in mixed_split_state(n, t, window=0.0).blocks:
+        lam = schmidt(block).coefficients
+        assert abs(float(np.sum(lam * lam)) - 1.0) < 1e-12

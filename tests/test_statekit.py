@@ -3,6 +3,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqsplit.statekit import (
     ConditionalState,
@@ -359,3 +361,25 @@ def test_mixed_state_type_guards():
         SplitMixedState(2, [(0.5, good), (0.25, good)])  # duplicate sector
     with pytest.raises(ValueError):
         SplitMixedState(2, [(0.9, good), (0.9, effective_evolution(2, 0, 0.1))])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 60), t=st.floats(0.0, math.pi / 4))
+def test_sector_masses_sum_to_one(n, t):
+    full = split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t))
+    masses = full.sector_masses()
+    assert abs(float(np.sum(masses)) - 1.0) < 1e-12
+    weights = [w for w, _ in mixed_split_state(n, t, window=0.0).blocks]
+    assert np.allclose(masses, weights, rtol=1e-10, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 60), t=st.floats(0.0, math.pi / 4))
+def test_high_blocks_are_mirror_transposes(n, t):
+    # log_negativity_mixed and log_negativity_bracket decompose one block
+    # per mirror pair only because this holds elementwise
+    blocks = {b.n_left: b for _, b in mixed_split_state(n, t, window=0.0).blocks}
+    assert sorted(blocks) == list(range(n + 1))
+    for l, block in blocks.items():
+        if l > n - l:
+            assert np.array_equal(block.psi, blocks[n - l].psi.T)

@@ -31,6 +31,13 @@ from sqsplit.witness import (
 )
 
 
+def _split_moments(n, t):
+    """Moments of the number-collapsed mixture by the O(N) split-state
+    route, which tests/test_observables.py pins to the sector route."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    return moments(split(one_axis_twist(spin_coherent(inv_sqrt2, inv_sqrt2, n), t)))
+
+
 def _random_hermitian(d, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -106,8 +113,8 @@ def test_dgcz_saturates_at_zero_time():
 
 def test_dgcz_detection_window():
     n = 500
-    early = dgcz(moments(mixed_split_state(n, 1.0 / (4 * n))))
-    late = dgcz(moments(mixed_split_state(n, 2.0 / n)))
+    early = dgcz(_split_moments(n, 1.0 / (4 * n)))
+    late = dgcz(_split_moments(n, 2.0 / n))
     assert early < 1.0
     assert late > 1.0
 
@@ -134,12 +141,12 @@ def test_covariance_window_edge_scaling():
     # upper edge of the detection window sits near 1/sqrt(12 N)
     for n in (100, 200, 500):
         lo, hi = 1.0 / n, 3.0 / math.sqrt(12.0 * n)
-        f_lo = covariance_criterion(moments(mixed_split_state(n, lo)))
-        f_hi = covariance_criterion(moments(mixed_split_state(n, hi)))
+        f_lo = covariance_criterion(_split_moments(n, lo))
+        f_hi = covariance_criterion(_split_moments(n, hi))
         assert f_lo < 0.0 < f_hi
         for _ in range(12):
             mid = 0.5 * (lo + hi)
-            if covariance_criterion(moments(mixed_split_state(n, mid))) < 0.0:
+            if covariance_criterion(_split_moments(n, mid)) < 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -262,7 +269,7 @@ def test_wineland_xi_shape():
     n = 500
     values = []
     for t in (1e-4, 8e-4, 5e-2):
-        ms = moments(mixed_split_state(n, t))
+        ms = _split_moments(n, t)
         values.append(wineland_xi(rotate_moments(ms, squeezing_angle(n, t))))
     assert values[1] < values[0] < 1.0  # squeezing deepens initially
     assert values[2] > values[1]  # and is eventually lost
