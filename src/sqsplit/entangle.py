@@ -5,16 +5,23 @@ For a pure conditional state the trace norm of the partial transpose is
 a singular value decomposition of the amplitude matrix.  For the
 sector mixture, blocks with different left atom number stay mutually
 orthogonal under left partial transposition, so the trace norms add
-with their sector weights.  A dense route that materializes the full
-two-well density matrix and transposes the left factor explicitly is
-kept as an independent cross-check for small N.
+with their sector weights.  A dense route that materializes the
+density matrix and transposes the left factor explicitly is kept as an
+independent cross-check for small N.
 
-Mirror sectors n_left and N - n_left of the mixture are transposes of
-each other and share their singular values, so a block whose amplitude
-matrix equals the transpose of an already decomposed mirror reuses that
-nuclear norm (checked elementwise, never by identity).  The certified
-bracket also trims each block to the Fock rows and columns that carry
-its weight and widens the upper bound by what the trim can have cost.
+The mixture from mixed_split_state is never built.  Its sectors follow
+the paper's picture of the split-then-collapse state: each cloud
+squeezed on its own, then an entangling operation.  With u = 2k_l - N_L
+and v = 2k_r - N_R the sector phase (u + v)^2 t splits into the local
+squeezings u^2 t and v^2 t, which are diagonal unitaries and leave the
+singular values alone, and the entangler 2uv t.  The entangler's
+amplitudes a_u b_v exp(2i t uv) are even under (u, v) -> (-u, -v), so
+pairing each Fock state with its mirror splits them into two real
+matrices C (cosines) and S (sines) of about half the side, and
+||psi||_* = ||C||_* + ||S||_*.  Mirror sectors N_L and N - N_L share
+them up to a transpose, so one SVD call serves both.  The certified
+bracket also trims C and S to the rows and columns that carry their
+weight and widens the upper bound by what the trim can have cost.
 """
 
 import math
@@ -23,7 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import log_binomial
-from .statekit import ConditionalState, SplitFullState, SplitMixedState
+from .statekit import (
+    ConditionalState,
+    SplitFullState,
+    SplitMixedState,
+    _coherent_half_weights,
+)
 
 __all__ = [
     "SchmidtSpectrum",
@@ -73,17 +85,8 @@ def log_negativity_pure(state):
 _TRIM_BUDGET = 1e-30
 
 
-def _nuclear_norm_bounds(psi, budget):
-    """(s, slack) with s <= ||psi||_* <= s + slack.
-
-    The smallest-norm rows and columns are dropped while their summed
-    squared norm d stays <= budget, and s is the nuclear norm of the
-    kept submatrix.  A compression never raises singular values, so s
-    is a lower bound.  The dropped part has Frobenius norm <= sqrt(d)
-    and rank r <= #dropped rows + #dropped columns, so its nuclear norm,
-    and with it the gap, is at most sqrt(r d).  budget = 0 keeps the
-    whole matrix and the slack is exactly 0.
-    """
+def _trim(psi, budget):
+    """(kept submatrix, slack): the trim of _nuclear_norm_bounds."""
     slack = 0.0
     if budget > 0.0:
         abs2 = psi.real**2 + psi.imag**2
@@ -96,28 +99,106 @@ def _nuclear_norm_bounds(psi, budget):
             keep[order[:n_drop]] = False
             slack = math.sqrt(min(m, n, n_drop) * float(np.sum(norms[~keep])))
             psi = psi[np.ix_(keep[:m], keep[m:])]
+    return psi, slack
+
+
+def _nuclear_norm_bounds(psi, budget):
+    """(s, slack) with s <= ||psi||_* <= s + slack.
+
+    The smallest-norm rows and columns are dropped while their summed
+    squared norm d stays <= budget, and s is the nuclear norm of the
+    kept submatrix.  A compression never raises singular values, so s
+    is a lower bound.  The dropped part has Frobenius norm <= sqrt(d)
+    and rank r <= #dropped rows + #dropped columns, so its nuclear norm,
+    and with it the gap, is at most sqrt(r d).  budget = 0 keeps the
+    whole matrix and the slack is exactly 0.
+    """
+    psi, slack = _trim(psi, budget)
     lam = np.linalg.svd(psi, compute_uv=False)
     return float(np.sum(lam)), slack
+
+
+def _entangler_parts(n_left, n_right, t):
+    """Real matrices C, S with ||psi||_* = ||C||_* + ||S||_* for the
+    conditional state effective_evolution(n_left, n_right, t).
+
+    With u = 2k_l - N_L, v = 2k_r - N_R and half-weights a, b the
+    amplitudes are a_u b_v exp(i t (u + v)^2).  Dropping the local
+    squeezings exp(i t u^2), exp(i t v^2) leaves the entangler
+    a_u b_v exp(2i t uv); a, b and uv are even under (u, v) -> (-u, -v),
+    so the mirror-paired bases (|u> +- |-u>)/sqrt(2) split it into
+    C[u, v] = w_u w_v a_u b_v cos(2tuv) on u, v >= 0 (w = 1 at 0,
+    sqrt(2) elsewhere) and i S with S[u, v] = 2 a_u b_v sin(2tuv) on
+    u, v > 0.  Both are orthogonal changes of basis, so C (+) S has the
+    singular values of psi.
+    """
+    a = _coherent_half_weights(n_left)[(n_left + 1) // 2 :]
+    b = _coherent_half_weights(n_right)[(n_right + 1) // 2 :]
+    u = np.arange(n_left % 2, n_left + 1, 2, dtype=float)
+    v = np.arange(n_right % 2, n_right + 1, 2, dtype=float)
+    angle = (2.0 * t) * np.outer(u, v)
+    wa = np.where(u > 0.0, math.sqrt(2.0), 1.0) * a
+    wb = np.where(v > 0.0, math.sqrt(2.0), 1.0) * b
+    c = np.outer(wa, wb) * np.cos(angle)
+    # S leaves out the u = 0 row and the v = 0 column
+    i, j = 1 - n_left % 2, 1 - n_right % 2
+    s = (2.0 * np.outer(a[i:], b[j:])) * np.sin(angle[i:, j:])
+    return c, s
+
+
+def _entangler_bounds(n_left, n_right, t, budget):
+    """(s, slack) bounds on ||psi||_* for effective_evolution(n_left,
+    n_right, t) from its C and S, in one SVD call."""
+    c, s = _entangler_parts(n_left, n_right, t)
+    norm = float(np.sum(c * c) + np.sum(s * s))
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"conditional state is not normalized (norm^2 = {norm})")
+    c, slack_c = _trim(c, budget)
+    s, slack_s = _trim(s, budget)
+    # zero padding only adds zero singular values
+    stack = np.zeros((2, max(c.shape[0], s.shape[0]), max(c.shape[1], s.shape[1])))
+    stack[0, : c.shape[0], : c.shape[1]] = c
+    stack[1, : s.shape[0], : s.shape[1]] = s
+    lam = np.linalg.svd(stack, compute_uv=False)
+    return float(np.sum(lam)), slack_c + slack_s
 
 
 def _block_trace_norms(mixture, budget=0.0):
     """(weight, s, slack) per block, s <= ||psi||_* <= s + slack.
 
     The block's trace-norm term in ||rho^{T_L}||_1 is weight ||psi||_*^2.
-    A block whose psi equals the transpose of its mirror's reuses the
-    mirror's bounds; each block keeps its own weight.
+    A mixture that records its twisting time is never built: each
+    mirror pair min(N_L, N_R) is bounded once from its real entangler
+    parts C and S, and each block keeps its own weight.  A mixture
+    assembled from arbitrary blocks is decomposed block by block.
     """
+    if mixture.t is None:
+        return [(w, *_nuclear_norm_bounds(b.psi, budget)) for w, b in mixture.blocks]
+    n = mixture.n_total
     done = {}
     terms = []
-    for weight, block in mixture.blocks:
-        mirror = done.get(block.n_right)
-        if mirror is not None and np.array_equal(mirror[0], block.psi.T):
-            bounds = mirror[1]
-        else:
-            bounds = _nuclear_norm_bounds(block.psi, budget)
-        done[block.n_left] = (block.psi, bounds)
-        terms.append((weight, *bounds))
+    for weight, n_left in mixture.sectors:
+        low = min(n_left, n - n_left)
+        if low not in done:
+            done[low] = _entangler_bounds(low, n - low, mixture.t, budget)
+        terms.append((weight, *done[low]))
     return terms
+
+
+# Largest mass a window may drop before log_negativity_mixed refuses.
+_DEFICIT_MAX = 1e-9
+
+
+def _absent_sectors(mixture):
+    """(p, n_left) for every sector the mixture leaves out, p its
+    untruncated probability C(N, n_left)/2^N."""
+    n = mixture.n_total
+    present = {n_left for _, n_left in mixture.sectors}
+    return [
+        (math.exp(log_binomial(n, l) - n * math.log(2.0)), l)
+        for l in range(n + 1)
+        if l not in present
+    ]
 
 
 def log_negativity_mixed(mixture):
@@ -125,16 +206,19 @@ def log_negativity_mixed(mixture):
 
     Blocks at different left atom number remain orthogonal after left
     partial transposition, so ||rho^{T_L}||_1 = sum_l p_l (sum lambda^(l))^2.
-    Mirror blocks that are transposes share one SVD; nothing is trimmed,
-    so the result is exact.  Requires the untruncated mixture; for
-    truncated ones use log_negativity_bracket.
+    Mirror blocks share one decomposition and nothing is trimmed, so
+    the result is exact for an untruncated mixture.  A window may drop
+    at most 1e-9 of the mass; its absent sectors count as product
+    states, the least they can add, so the value is the untrimmed lower
+    end of log_negativity_bracket.  For wider windows use the bracket.
     """
     deficit = 1.0 - mixture.retained_mass
-    if deficit > 1e-9:
+    if deficit > _DEFICIT_MAX:
         raise ValueError(
             "mixture is truncated; log_negativity_bracket gives certified bounds"
         )
     total = sum(w * s**2 for w, s, _ in _block_trace_norms(mixture))
+    total += sum(p for p, _ in _absent_sectors(mixture))
     return math.log2(total)
 
 
@@ -148,23 +232,16 @@ def log_negativity_bracket(mixture):
     their SVD: the kept submatrix's nuclear norm s bounds the block's
     from below and s + sqrt(r d) from above, r the rank the dropped
     rows and columns can hold, so the lower sum takes p s^2 and the
-    upper p (s + sqrt(r d))^2.  Mirror blocks that are transposes share
-    one SVD.
+    upper p (s + sqrt(r d))^2.  Mirror blocks share one decomposition.
     """
     n = mixture.n_total
     terms = _block_trace_norms(mixture, _TRIM_BUDGET)
-    low_total = sum(w * s**2 for w, s, _ in terms)
-    high_total = sum(w * (s + slack) ** 2 for w, s, slack in terms)
-    present = {block.n_left for _, block in mixture.blocks}
-    low_extra = 0.0
-    high_extra = 0.0
-    for l in range(n + 1):
-        if l in present:
-            continue
-        p = math.exp(log_binomial(n, l) - n * math.log(2.0))
-        low_extra += p
-        high_extra += p * (min(l, n - l) + 1)
-    return math.log2(low_total + low_extra), math.log2(high_total + high_extra)
+    absent = _absent_sectors(mixture)
+    low = sum(w * s**2 for w, s, _ in terms) + sum(p for p, _ in absent)
+    high = sum(w * (s + slack) ** 2 for w, s, slack in terms) + sum(
+        p * (min(l, n - l) + 1) for p, l in absent
+    )
+    return math.log2(low), math.log2(high)
 
 
 def _dense_basis(n):
@@ -177,47 +254,56 @@ def _dense_basis(n):
     return index
 
 
-def log_negativity_dense(state, max_n=8):
-    """Dense partial-transpose route, independent of the Schmidt identity.
-
-    Materializes the density matrix on the full tensor product of the
-    two well spaces, transposes the left factor explicitly, and sums the
-    absolute eigenvalues.  Exponential in memory, so refuses n_total
-    beyond max_n (default 8).
-    """
-    if isinstance(state, ConditionalState):
-        n = state.n_total
-        parts = [(1.0, [(state.n_left, state.psi)])]
-    elif isinstance(state, SplitMixedState):
-        n = state.n_total
-        parts = [(w, [(b.n_left, b.psi)]) for w, b in state.blocks]
-    elif isinstance(state, SplitFullState):
-        # coherent superposition over sectors, still one pure vector
-        n = state.n_total
-        parts = [(1.0, [(l, state.sector(l)) for l in range(n + 1)])]
-    else:
-        raise TypeError(
-            "expected a ConditionalState, SplitMixedState or SplitFullState"
-        )
-    if n > max_n:
-        raise ValueError(f"dense route limited to n_total <= {max_n}")
-
-    index = _dense_basis(n)
-    d = len(index)
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    for weight, sectors in parts:
-        vec = np.zeros(d * d, dtype=complex)
-        for n_left, psi in sectors:
-            for k_l in range(n_left + 1):
-                il = index[(n_left, k_l)]
-                for k_r in range(n - n_left + 1):
-                    ir = index[(n - n_left, k_r)]
-                    vec[il * d + ir] = psi[k_l, k_r]
-        rho += weight * np.outer(vec, vec.conj())
-
-    pt = np.transpose(rho.reshape(d, d, d, d), (2, 1, 0, 3)).reshape(d * d, d * d)
+def _partial_transpose_trace_norm(rho, d_left, d_right):
+    """||rho^{T_L}||_1 of a density matrix on a d_left x d_right product
+    space, by transposing the left factor explicitly."""
+    d = d_left * d_right
+    pt = np.transpose(rho.reshape(d_left, d_right, d_left, d_right), (2, 1, 0, 3))
+    pt = pt.reshape(d, d)
     scale = max(1.0, float(np.abs(pt).max()))
     if np.abs(pt - pt.conj().T).max() > 1e-10 * scale:
         raise AssertionError("partial transpose lost Hermiticity")
-    eig = np.linalg.eigvalsh(pt)
-    return math.log2(float(np.sum(np.abs(eig))))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
+
+
+def log_negativity_dense(state, max_n=8):
+    """Dense partial-transpose route, independent of the Schmidt identity.
+
+    Materializes the density matrix, transposes the left factor
+    explicitly, and sums the absolute eigenvalues.  A ConditionalState
+    or SplitMixedState only occupies fixed-(N_L, N_R) subspaces, and the
+    left transpose maps each onto itself, so each subspace is
+    diagonalised on its own.  A SplitFullState is coherent across
+    sectors and needs the full tensor product of the two well spaces.
+    Refuses n_total beyond max_n (default 8).
+    """
+    if not isinstance(state, (ConditionalState, SplitMixedState, SplitFullState)):
+        raise TypeError(
+            "expected a ConditionalState, SplitMixedState or SplitFullState"
+        )
+    n = state.n_total
+    if n > max_n:
+        raise ValueError(f"dense route limited to n_total <= {max_n}")
+    if isinstance(state, SplitFullState):
+        # coherent superposition over sectors, still one pure vector
+        index = _dense_basis(n)
+        d = len(index)
+        vec = np.zeros(d * d, dtype=complex)
+        for n_left in range(n + 1):
+            psi = state.sector(n_left)
+            for k_l in range(n_left + 1):
+                il = index[(n_left, k_l)]
+                for k_r in range(n - n_left + 1):
+                    vec[il * d + index[(n - n_left, k_r)]] = psi[k_l, k_r]
+        return math.log2(_partial_transpose_trace_norm(np.outer(vec, vec.conj()), d, d))
+    blocks = [(1.0, state)] if isinstance(state, ConditionalState) else state.blocks
+    sectors = {}
+    for weight, block in blocks:
+        vec = block.psi.reshape(-1)
+        rho = sectors.get(block.n_left, 0.0)
+        sectors[block.n_left] = rho + weight * np.outer(vec, vec.conj())
+    total = sum(
+        _partial_transpose_trace_norm(rho, n_left + 1, n - n_left + 1)
+        for n_left, rho in sectors.items()
+    )
+    return math.log2(total)

@@ -12,9 +12,10 @@ are the objects every downstream module consumes.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .specfun import log_binomial
 
@@ -83,36 +84,74 @@ class ConditionalState:
         return self.n_left + self.n_right
 
 
-@dataclass(frozen=True)
 class SplitMixedState:
     """Classical mixture of conditional states over left-well sectors.
 
     blocks is a list of (weight, ConditionalState) sorted by n_left;
     weights are the untruncated sector probabilities, so they sum to at
-    most one (less when a truncation window was applied).
+    most one (less when a truncation window was applied).  sectors
+    lists the (weight, n_left) pairs and t is None.
+
+    mixed_split_state returns a mixture that records its twisting time
+    t and its sectors instead, and builds blocks only on first access,
+    so a consumer that needs only (n_left, n_right, t) never pays for
+    the amplitude matrices.
     """
 
-    n_total: int
-    blocks: list
+    def __init__(self, n_total, blocks):
+        for _, state in blocks:
+            if state.n_left + state.n_right != n_total:
+                raise ValueError("block particle numbers must sum to n_total")
+        self.n_total = n_total
+        self.t = None
+        self.sectors = [(weight, state.n_left) for weight, state in blocks]
+        self.blocks = blocks
+        self._check_sectors()
 
-    def __post_init__(self):
+    @classmethod
+    def _twisted(cls, n_total, t, sectors):
+        mixture = cls.__new__(cls)
+        mixture.n_total = n_total
+        mixture.t = t
+        mixture.sectors = sectors
+        mixture._check_sectors()
+        return mixture
+
+    def _check_sectors(self):
         total = 0.0
         seen = set()
-        for weight, state in self.blocks:
+        for weight, n_left in self.sectors:
             if not 0.0 < weight <= 1.0:
                 raise ValueError("block weights must lie in (0, 1]")
-            if state.n_left + state.n_right != self.n_total:
-                raise ValueError("block particle numbers must sum to n_total")
-            if state.n_left in seen:
+            if not 0 <= n_left <= self.n_total:
+                raise ValueError("sector n_left out of range")
+            if n_left in seen:
                 raise ValueError("duplicate sector in mixture")
-            seen.add(state.n_left)
+            seen.add(n_left)
             total += weight
         if total > 1.0 + 1e-9:
             raise ValueError("mixture weights exceed 1")
 
+    @cached_property
+    def blocks(self):
+        # only reached for a recorded-t mixture; the public constructor
+        # sets blocks on the instance
+        n = self.n_total
+        low = {}
+        blocks = []
+        for weight, l in self.sectors:
+            mirror = n - l
+            if l <= mirror:
+                state = effective_evolution(l, mirror, self.t)
+                low[l] = state
+            else:
+                state = ConditionalState(l, mirror, low[mirror].psi.T)
+            blocks.append((weight, state))
+        return blocks
+
     @property
     def retained_mass(self):
-        return float(sum(w for w, _ in self.blocks))
+        return float(sum(w for w, _ in self.sectors))
 
 
 class SplitFullState:
@@ -231,13 +270,6 @@ def _coherent_half_weights(n):
 
 
 @lru_cache(maxsize=None)
-def _sum_index(n_left, n_right):
-    s = np.add.outer(np.arange(n_left + 1), np.arange(n_right + 1))
-    s.setflags(write=False)
-    return s
-
-
-@lru_cache(maxsize=None)
 def _imbalance_sq(n):
     m2 = (2.0 * np.arange(n + 1) - n) ** 2
     m2.setflags(write=False)
@@ -258,7 +290,8 @@ def effective_evolution(n_left, n_right, t):
     n = n_left + n_right
     mag = np.outer(_coherent_half_weights(n_left), _coherent_half_weights(n_right))
     phase = np.exp(1j * t * _imbalance_sq(n))
-    psi = mag * phase[_sum_index(n_left, n_right)]
+    # psi[k_l, k_r] takes phase[k_l + k_r]: a zero-copy Hankel view
+    psi = mag * sliding_window_view(phase, n_right + 1)
     return ConditionalState(n_left, n_right, psi)
 
 
@@ -282,13 +315,24 @@ def mixed_split_state(n, t, window=1e-12):
     Sector n_left carries weight C(n, n_left)/2^n.  `window` is the
     truncation epsilon: the smallest centered window of sectors with
     total weight >= 1 - window is retained (window = 0 keeps all).
-    Opposite sectors are exact transposes of each other, so the high
-    half of the window is stored as transposed views of the low half.
+
+    The mixture records t and its (weight, n_left) sectors; its blocks
+    are built on first access.  Opposite sectors are exact transposes
+    of each other, so the high half of the window is stored as
+    transposed views of the low half.  Nothing else needs the blocks:
+    with u = 2k_l - N_L and v = 2k_r - N_R the sector phase is
+    (u + v)^2 t = u^2 t + v^2 t + 2uv t, that is, squeezing each cloud
+    on its own followed by the entangler exp(2i t uv).  The local
+    squeezings are diagonal unitaries, and the entangler's amplitudes
+    a_u b_v exp(2i t uv) split over mirror-paired Fock states into two
+    real matrices, which is all the negativity decomposes.
     """
     if n < 0:
         raise ValueError("atom number must be nonnegative")
     if window < 0:
         raise ValueError("truncation window must be nonnegative")
+    if not math.isfinite(t):
+        raise ValueError("twisting time must be finite")
     weights = np.exp(log_binomial(n, np.arange(n + 1)) - n * _LN2)
     retained = []
     cum = 0.0
@@ -298,14 +342,4 @@ def mixed_split_state(n, t, window=1e-12):
         if window > 0.0 and cum >= 1.0 - window:
             break
     retained.sort()
-    low = {}
-    blocks = []
-    for l in retained:
-        mirror = n - l
-        if l <= mirror:
-            state = effective_evolution(l, mirror, t)
-            low[l] = state
-        else:
-            state = ConditionalState(l, mirror, low[mirror].psi.T)
-        blocks.append((float(weights[l]), state))
-    return SplitMixedState(n, blocks)
+    return SplitMixedState._twisted(n, t, [(float(weights[l]), l) for l in retained])

@@ -18,7 +18,7 @@ from sqsplit.cli import (
     run_entanglement_sweep,
     run_equivalence_suite,
 )
-from sqsplit.entangle import log_negativity_pure
+from sqsplit.entangle import log_negativity_bracket, log_negativity_pure
 from sqsplit.observables import moments
 from sqsplit.statekit import effective_evolution, mixed_split_state
 from sqsplit.witness import witness_suite
@@ -150,9 +150,32 @@ def test_entanglement_conditional_sector_ordering():
 
 
 def test_entanglement_mixed_size_cap():
-    code, _, err = run_cli(["entanglement", "--n", "30"])
+    code, _, err = run_cli(["entanglement", "--n", "801"])
     assert code == 2
-    assert "24" in err
+    assert "800" in err
+
+
+def test_entanglement_mixed_rows_inside_bracket():
+    # the default window drops sectors at n = 100; the rows still sit
+    # inside the certified bracket of the same windowed mixture
+    code, out, _ = run_cli(["entanglement", "--n", "100", "--steps", "3"])
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 3
+    for t, logneg in rows:
+        mixture = mixed_split_state(100, t)
+        assert mixture.retained_mass < 1.0
+        low, high = log_negativity_bracket(mixture)
+        assert low <= logneg <= high, t
+
+
+def test_entanglement_window_too_wide_is_usage_error():
+    code, _, err = run_cli(["entanglement", "--n", "100", "--epsilon", "1e-6"])
+    assert code == 2
+    assert err.startswith("error: --epsilon") and len(err.splitlines()) == 1
+    # a wide window that drops nothing is still fine
+    code, _, _ = run_cli(["entanglement", "--n", "6", "--epsilon", "1e-3", "--steps", "2"])
+    assert code == 0
 
 
 def test_entanglement_json_format():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqsplit import statekit
 from sqsplit.entangle import (
     _TRIM_BUDGET,
     SchmidtSpectrum,
     _block_trace_norms,
+    _entangler_bounds,
     _nuclear_norm_bounds,
     log_negativity_bracket,
     log_negativity_dense,
@@ -283,3 +285,106 @@ def test_schmidt_spectra_normalized(n, t):
     for _, block in mixed_split_state(n, t, window=0.0).blocks:
         lam = schmidt(block).coefficients
         assert abs(float(np.sum(lam * lam)) - 1.0) < 1e-12
+
+
+def _psi_exact_phases(n_left, n_right, t):
+    """effective_evolution(n_left, n_right, t).psi with each phase
+    t m^2 evaluated from an exact split t = t_hi + t_lo (Veltkamp, t_hi
+    of 26 bits), so t_hi m^2 and t_lo m^2 carry no rounding for m^2 <
+    2^26.  effective_evolution rounds t m^2 once; at t = pi/4 and
+    N_L = N_R = 250 that alone moves the nuclear norm by 1.7e-13."""
+    m = 2.0 * np.add.outer(np.arange(n_left + 1), np.arange(n_right + 1)) - (n_left + n_right)
+    m2 = m * m
+    c = 134217729.0 * t
+    t_hi = c - (c - t)
+    t_lo = t - t_hi
+    mag = np.abs(effective_evolution(n_left, n_right, t).psi)
+    return mag * (np.exp(1j * t_hi * m2) * np.exp(1j * t_lo * m2))
+
+
+@pytest.mark.parametrize(
+    "n_left, n_right",
+    [(0, 0), (0, 5), (1, 1), (2, 3), (7, 8), (33, 40), (120, 130), (249, 251), (250, 250)],
+)
+@pytest.mark.parametrize("t", [0.0, 1e-4, 0.0037, 0.3, 1.1, math.pi / 4])
+def test_entangler_parts_match_complex_svd(n_left, n_right, t):
+    # local squeezing plus entangler: the real C and S carry the
+    # singular values of the complex amplitude matrix
+    full = _nuclear_norm(_psi_exact_phases(n_left, n_right, t))
+    for a, b in ((n_left, n_right), (n_right, n_left)):
+        s, slack = _entangler_bounds(a, b, t, 0.0)
+        assert slack == 0.0
+        assert abs(s - full) <= 1e-13 * full
+        # a coarse budget trims C and S visibly; both slacks must cover it
+        for budget in (_TRIM_BUDGET, 1e-4):
+            s, slack = _entangler_bounds(a, b, t, budget)
+            assert s <= full * (1.0 + 1e-13)
+            assert full <= (s + slack) * (1.0 + 1e-13)
+
+
+def test_entangler_parts_check_the_norm():
+    # the check the ConditionalState constructor made on every block
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not normalized"):
+        _entangler_bounds(5, 7, math.inf, 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(0, 60),
+    t=st.floats(0.0, math.pi / 4),
+    window=st.sampled_from([0.0, 1e-12, 1e-6]),
+)
+def test_recorded_time_norms_match_block_svds(n, t, window):
+    mixture = mixed_split_state(n, t, window=window)
+    terms = _block_trace_norms(mixture)
+    assert len(terms) == len(mixture.sectors)
+    for (w, block), (w_got, s, slack) in zip(mixture.blocks, terms):
+        assert w_got == w and slack == 0.0
+        assert abs(s - _nuclear_norm(block.psi)) <= 1e-12 * s
+
+
+def test_negativity_never_builds_a_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sector block was built")
+
+    monkeypatch.setattr(statekit, "effective_evolution", refuse)
+    low, high = log_negativity_bracket(mixed_split_state(500, 0.0037))
+    assert 0.0 < high - low <= 1e-9
+    assert log_negativity_mixed(mixed_split_state(60, 0.3, window=0.0)) > 1.0
+    # the patch bites as soon as something asks for the blocks
+    with pytest.raises(AssertionError):
+        mixed_split_state(4, 0.1).blocks
+
+
+def test_recorded_time_svds_are_real(monkeypatch):
+    dtypes = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    log_negativity_bracket(mixed_split_state(200, 0.02))
+    log_negativity_mixed(mixed_split_state(41, 0.3, window=0.0))
+    assert len(dtypes) == 51 + 21
+    assert all(dtype == np.float64 for dtype in dtypes)
+
+
+def test_dense_sector_route_n12():
+    for t in (0.05, 0.3):
+        mixture = mixed_split_state(12, t, window=0.0)
+        dense = log_negativity_dense(mixture, max_n=12)
+        assert abs(dense - log_negativity_mixed(mixture)) < 1e-9, t
+        state = effective_evolution(5, 7, t)
+        dense = log_negativity_dense(state, max_n=12)
+        assert abs(dense - log_negativity_pure(state)) < 1e-9, t
+
+
+def test_mixed_negativity_counts_dropped_sectors_as_product():
+    # at t = 0 every sector is a product state, so counting the dropped
+    # ones as products gives the untruncated value
+    mixture = mixed_split_state(100, 0.0)
+    assert 1.0 - mixture.retained_mass > 1e-13
+    exact = log_negativity_mixed(mixed_split_state(100, 0.0, window=0.0))
+    assert abs(log_negativity_mixed(mixture) - exact) < 1e-15

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqsplit import statekit
 from sqsplit.statekit import (
     ConditionalState,
     SplitMixedState,
@@ -383,3 +384,50 @@ def test_high_blocks_are_mirror_transposes(n, t):
     for l, block in blocks.items():
         if l > n - l:
             assert np.array_equal(block.psi, blocks[n - l].psi.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 500])
+@pytest.mark.parametrize("t", [0.0, 0.0037, 0.3, 1.1])
+def test_effective_evolution_hankel_phases_bit_identical(n, t):
+    # the sliding-window phase view gathers exactly phase[k_l + k_r]
+    lefts = range(n + 1) if n < 500 else (0, 1, 137, 250, 499, 500)
+    phase = np.exp(1j * t * (2.0 * np.arange(n + 1) - n) ** 2)
+    for n_left in lefts:
+        n_right = n - n_left
+        mag = np.outer(
+            statekit._coherent_half_weights(n_left), statekit._coherent_half_weights(n_right)
+        )
+        want = mag * phase[np.add.outer(np.arange(n_left + 1), np.arange(n_right + 1))]
+        assert np.array_equal(effective_evolution(n_left, n_right, t).psi, want)
+
+
+def test_mixture_records_sectors_without_blocks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sector block was built")
+
+    monkeypatch.setattr(statekit, "effective_evolution", refuse)
+    mix = mixed_split_state(500, 0.0037)
+    assert mix.t == 0.0037
+    assert len(mix.sectors) == 155
+    assert [l for _, l in mix.sectors] == sorted(l for _, l in mix.sectors)
+    assert 1.0 - 1e-12 <= mix.retained_mass <= 1.0 + 1e-9
+    # a hand-built mixture records no time and its own sectors
+    good = SplitMixedState(2, [(0.5, ConditionalState(1, 1, np.full((2, 2), 0.5 + 0j)))])
+    assert good.t is None and good.sectors == [(0.5, 1)]
+
+
+def test_recorded_mixture_validates_sectors():
+    with pytest.raises(ValueError):
+        SplitMixedState._twisted(4, 0.1, [(0.0, 1)])
+    with pytest.raises(ValueError):
+        SplitMixedState._twisted(4, 0.1, [(0.5, 1), (0.25, 1)])  # duplicate sector
+    with pytest.raises(ValueError):
+        SplitMixedState._twisted(4, 0.1, [(0.6, 1), (0.6, 3)])  # weights exceed 1
+    with pytest.raises(ValueError):
+        SplitMixedState._twisted(4, 0.1, [(0.5, 5)])  # no such sector
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_mixture_rejects_non_finite_time(t):
+    with pytest.raises(ValueError):
+        mixed_split_state(6, t)
