@@ -59,7 +59,6 @@ from .wigner import (
     wigner_from_density,
 )
 from .witness import (
-    OptimizerError,
     UndefinedWitnessError,
     WitnessResult,
     covariance_criterion,
@@ -117,7 +116,6 @@ __all__ = [
     # witnesses
     "WitnessResult",
     "UndefinedWitnessError",
-    "OptimizerError",
     "dgcz",
     "covariance_criterion",
     "squeezing_angle",

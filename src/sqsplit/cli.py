@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 usage error, 3 verification failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -348,7 +349,10 @@ def run_equivalence_suite(
     )
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="sqsplit",
         description="Exact simulation of split spin-squeezed two-component ensembles",

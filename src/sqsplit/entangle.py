@@ -89,8 +89,13 @@ def _trim(psi, budget):
     """(kept submatrix, slack): the trim of _nuclear_norm_bounds."""
     slack = 0.0
     if budget > 0.0:
-        abs2 = psi.real**2 + psi.imag**2
-        norms = np.concatenate((abs2.sum(axis=1), abs2.sum(axis=0)))
+        if np.iscomplexobj(psi):
+            abs2 = psi.real**2 + psi.imag**2
+            norms = np.concatenate((abs2.sum(axis=1), abs2.sum(axis=0)))
+        else:
+            norms = np.concatenate(
+                (np.einsum("ij,ij->i", psi, psi), np.einsum("ij,ij->j", psi, psi))
+            )
         order = np.argsort(norms, kind="stable")
         n_drop = int(np.searchsorted(np.cumsum(norms[order]), budget, side="right"))
         if n_drop:
@@ -118,9 +123,10 @@ def _nuclear_norm_bounds(psi, budget):
     return float(np.sum(lam)), slack
 
 
-def _entangler_parts(n_left, n_right, t):
-    """Real matrices C, S with ||psi||_* = ||C||_* + ||S||_* for the
-    conditional state effective_evolution(n_left, n_right, t).
+def _entangler_bounds(n_left, n_right, t, budget, work=None):
+    """(s, slack) bounds on ||psi||_* for effective_evolution(n_left,
+    n_right, t), from real matrices C, S with ||psi||_* = ||C||_* +
+    ||S||_*, in one SVD call.
 
     With u = 2k_l - N_L, v = 2k_r - N_R and half-weights a, b the
     amplitudes are a_u b_v exp(i t (u + v)^2).  Dropping the local
@@ -130,37 +136,44 @@ def _entangler_parts(n_left, n_right, t):
     C[u, v] = w_u w_v a_u b_v cos(2tuv) on u, v >= 0 (w = 1 at 0,
     sqrt(2) elsewhere) and i S with S[u, v] = 2 a_u b_v sin(2tuv) on
     u, v > 0.  Both are orthogonal changes of basis, so C (+) S has the
-    singular values of psi.
+    singular values of psi.  S keeps the zero u = 0 row and v = 0
+    column.  C, S and their trims are written into work, a float64
+    buffer of >= 4 (N_L // 2 + 1)(N_R // 2 + 1) entries that callers
+    reuse, so large temporaries are not mapped afresh on every call.
     """
+    shape = (2, n_left // 2 + 1, n_right // 2 + 1)
+    size = 2 * shape[1] * shape[2]
+    if work is None:
+        work = np.empty(2 * size)
     a = _coherent_half_weights(n_left)[(n_left + 1) // 2 :]
     b = _coherent_half_weights(n_right)[(n_right + 1) // 2 :]
     u = np.arange(n_left % 2, n_left + 1, 2, dtype=float)
     v = np.arange(n_right % 2, n_right + 1, 2, dtype=float)
-    angle = (2.0 * t) * np.outer(u, v)
-    wa = np.where(u > 0.0, math.sqrt(2.0), 1.0) * a
-    wb = np.where(v > 0.0, math.sqrt(2.0), 1.0) * b
-    c = np.outer(wa, wb) * np.cos(angle)
-    # S leaves out the u = 0 row and the v = 0 column
-    i, j = 1 - n_left % 2, 1 - n_right % 2
-    s = (2.0 * np.outer(a[i:], b[j:])) * np.sin(angle[i:, j:])
-    return c, s
-
-
-def _entangler_bounds(n_left, n_right, t, budget):
-    """(s, slack) bounds on ||psi||_* for effective_evolution(n_left,
-    n_right, t) from its C and S, in one SVD call."""
-    c, s = _entangler_parts(n_left, n_right, t)
-    norm = float(np.sum(c * c) + np.sum(s * s))
+    parts = work[:size].reshape(shape)
+    c, s = parts
+    np.multiply.outer(u, v, out=c)
+    c *= 2.0 * t
+    np.sin(c, out=s)
+    np.cos(c, out=c)
+    # w_u w_v = 2 wherever sin(2tuv) can be nonzero
+    parts *= (np.where(u > 0.0, math.sqrt(2.0), 1.0) * a)[:, None]
+    parts *= np.where(v > 0.0, math.sqrt(2.0), 1.0) * b
+    norm = float(np.einsum("kij,kij->", parts, parts))
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"conditional state is not normalized (norm^2 = {norm})")
-    c, slack_c = _trim(c, budget)
-    s, slack_s = _trim(s, budget)
-    # zero padding only adds zero singular values
-    stack = np.zeros((2, max(c.shape[0], s.shape[0]), max(c.shape[1], s.shape[1])))
-    stack[0, : c.shape[0], : c.shape[1]] = c
-    stack[1, : s.shape[0], : s.shape[1]] = s
-    lam = np.linalg.svd(stack, compute_uv=False)
-    return float(np.sum(lam)), slack_c + slack_s
+    slack = 0.0
+    if budget > 0.0:
+        c, slack_c = _trim(c, budget)
+        s, slack_s = _trim(s, budget)
+        slack = slack_c + slack_s
+        # zero padding only adds zero singular values
+        m, n = max(c.shape[0], s.shape[0]), max(c.shape[1], s.shape[1])
+        parts = work[size : size + 2 * m * n].reshape(2, m, n)
+        parts.fill(0.0)
+        parts[0, : c.shape[0], : c.shape[1]] = c
+        parts[1, : s.shape[0], : s.shape[1]] = s
+    lam = np.linalg.svd(parts, compute_uv=False)
+    return float(np.sum(lam)), slack
 
 
 def _block_trace_norms(mixture, budget=0.0):
@@ -175,14 +188,23 @@ def _block_trace_norms(mixture, budget=0.0):
     if mixture.t is None:
         return [(w, *_nuclear_norm_bounds(b.psi, budget)) for w, b in mixture.blocks]
     n = mixture.n_total
+    work = np.empty(4 * _largest_svd_input(mixture))
     done = {}
     terms = []
     for weight, n_left in mixture.sectors:
         low = min(n_left, n - n_left)
         if low not in done:
-            done[low] = _entangler_bounds(low, n - low, mixture.t, budget)
+            done[low] = _entangler_bounds(low, n - low, mixture.t, budget, work)
         terms.append((weight, *done[low]))
     return terms
+
+
+def _largest_svd_input(mixture):
+    """Largest entry count m n of a matrix _block_trace_norms decomposes."""
+    if mixture.t is None:
+        return max((b.psi.size for _, b in mixture.blocks), default=0)
+    n = mixture.n_total
+    return max(((l // 2 + 1) * ((n - l) // 2 + 1) for _, l in mixture.sectors), default=0)
 
 
 # Largest mass a window may drop before log_negativity_mixed refuses.
@@ -233,6 +255,13 @@ def log_negativity_bracket(mixture):
     from below and s + sqrt(r d) from above, r the rank the dropped
     rows and columns can hold, so the lower sum takes p s^2 and the
     upper p (s + sqrt(r d))^2.  Mirror blocks share one decomposition.
+
+    Both sums are then widened by the relative roundoff margin
+    (K + 4 M) eps, K the number of terms and M the largest m n of a
+    decomposed matrix: LAPACK's backward error moves each of the
+    r = min(m, n) singular values by <= max(m, n) eps sigma_1, so s by
+    <= (m n + r) eps s and s^2 by <= 4 m n eps s^2.  At N = 500 that is
+    1.4e-11.  Rounding in the entries (weights, phases) is not covered.
     """
     n = mixture.n_total
     terms = _block_trace_norms(mixture, _TRIM_BUDGET)
@@ -241,7 +270,9 @@ def log_negativity_bracket(mixture):
     high = sum(w * (s + slack) ** 2 for w, s, slack in terms) + sum(
         p * (min(l, n - l) + 1) for p, l in absent
     )
-    return math.log2(low), math.log2(high)
+    eps = np.finfo(float).eps
+    margin = (len(terms) + len(absent) + 4 * _largest_svd_input(mixture)) * eps
+    return math.log2(low * (1.0 - margin)), math.log2(high * (1.0 + margin))
 
 
 def _dense_basis(n):

@@ -15,9 +15,11 @@ criterion) certify entanglement or steering of the two wells:
                        normalized by one well only     (< 1 steering)
 
 The rotated quadratures use the one-axis-twisting squeezing angle
-theta(t); Giovannetti gains are found on a coarse symmetric log grid
-followed by deterministic Nelder-Mead refinement, while the steering
-gains have the usual closed form cov/var.
+theta(t).  Both gain-optimized criteria are closed forms: the steering
+gains are cov/var, and the Giovannetti gains are the best of a fixed
+candidate set (the nonnegative roots of one quadratic in |g_y|, the
+origin, the axis minima and the points where a clipped variance is
+exactly 0), with ties going to the smallest |g_y| + |g_z|.
 """
 
 import math
@@ -25,14 +27,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .observables import MomentSet, rotate_moments
 
 __all__ = [
     "WitnessResult",
     "UndefinedWitnessError",
-    "OptimizerError",
     "dgcz",
     "hermitian_min_eigenvalue",
     "covariance_criterion",
@@ -49,14 +49,6 @@ _LX, _LY, _LZ, _RX, _RY, _RZ = range(6)
 
 class UndefinedWitnessError(ValueError):
     """Raised when a witness denominator is too small to be meaningful."""
-
-
-class OptimizerError(RuntimeError):
-    """Gain optimization failed to converge; carries the best point seen."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 @dataclass(frozen=True)
@@ -174,115 +166,89 @@ def _gain_variance(v, steer, target, g):
     return g * g * v[steer, steer] - 2.0 * g * v[steer, target] + v[target, target]
 
 
-def _giovannetti_objective(ms):
-    v = ms.V
-    mx_l = ms.means[_LX]
-    mx_r = ms.means[_RX]
-
-    def objective(g):
-        g_y, g_z = g
-        var_z = _gain_variance(v, _LZ, _RZ, g_z)
-        var_y = _gain_variance(v, _LY, _RY, g_y)
-        den = abs(g_z * g_y) * mx_l + mx_r
-        if den <= 0.0:
-            return math.inf
-        return math.sqrt(max(var_z, 0.0) * max(var_y, 0.0)) / den
-
-    return objective
+def _descent_point(a2, p, a0):
+    """An x >= 0 where max(a2 x^2 - 2 p x + a0, 0), p >= 0, is least: 0
+    if it never falls, the vertex p / a2 if its minimum is positive,
+    else the smaller of a0 / p and (for a2 < 0) sqrt(-2 a0 / a2), where
+    it is a0 (a2 a0 / p^2 - 1) <= 0 and <= -a0: the clip gives 0."""
+    if a0 <= 0.0 or (p == 0.0 and a2 >= 0.0):
+        return 0.0
+    if p * p < a2 * a0:
+        return p / a2
+    x = a0 / p if p > 0.0 else math.inf
+    return min(x, math.sqrt(-2.0 * a0 / a2)) if a2 < 0.0 else x
 
 
-def _gain_grid():
-    mags = np.exp(np.linspace(math.log(1e-3), math.log(4.0), 20))
-    return np.concatenate([-mags[::-1], [0.0], mags])
-
-
-def _grid_objective(ms, grid):
-    """The Giovannetti objective on grid x grid, g_y by row and g_z by
-    column.  Each entry repeats the scalar objective's operations in the
-    same order, so it is bit-identical to objective((g_y, g_z))."""
-    v = ms.V
-    var_z = _gain_variance(v, _LZ, _RZ, grid)
-    var_y = _gain_variance(v, _LY, _RY, grid)
-    # np.where(x < 0, 0, x) is max(x, 0.0), NaN and -0.0 included
-    var_z = np.where(var_z < 0.0, 0.0, var_z)
-    var_y = np.where(var_y < 0.0, 0.0, var_y)
-    den = np.abs(np.multiply.outer(grid, grid)) * ms.means[_LX] + ms.means[_RX]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.sqrt(np.multiply.outer(var_y, var_z)) / den
-    return np.where(den <= 0.0, math.inf, values)
-
-
-def _grid_minimum(ms, grid):
-    """Best grid point in scan order (g_y outer, g_z inner): a value more
-    than 1e-12 below the lead takes it, and within 1e-12 of the lead the
-    smaller |g_y| + |g_z| wins."""
-    flat = _grid_objective(ms, grid).ravel()
-    # each tie moves the lead up by at most 1e-12, so the lead never
-    # sits more than (flat.size + 1) * 1e-12 plus roundoff above the
-    # running minimum; entries further up can never take it and are
-    # skipped
-    floor = np.fmin.accumulate(flat)
-    reachable = flat <= floor + 1e-8 * np.maximum(1.0, np.abs(floor))
-    best_val = math.inf
-    best_g = (0.0, 0.0)
-    for index in np.flatnonzero(reachable).tolist():
-        val = float(flat[index])
-        g_y, g_z = grid[index // grid.size], grid[index % grid.size]
-        better = val < best_val - 1e-12
-        tied = abs(val - best_val) <= 1e-12
-        if better or (
-            tied and abs(g_y) + abs(g_z) < abs(best_g[0]) + abs(best_g[1])
-        ):
-            best_val = val
-            best_g = (g_y, g_z)
-    return best_val, best_g
+def _real_roots(alpha, beta, gamma):
+    """Real roots of alpha x^2 + beta x + gamma, free of cancellation."""
+    if alpha == 0.0:
+        return [-gamma / beta] if beta != 0.0 else []
+    disc = beta * beta - 4.0 * alpha * gamma
+    if disc < 0.0:
+        return []
+    q = -0.5 * (beta + math.copysign(math.sqrt(disc), beta))
+    return [q / alpha, gamma / q] if q != 0.0 else [0.0]
 
 
 def giovannetti(ms):
     """Gain-optimized product criterion; returns (value, g_y, g_z).
 
     E = sqrt(Var(g_z S_L^z' - S_R^z') Var(g_y S_L^y' - S_R^y')) /
-        (|g_z g_y| <S_L^x> + <S_R^x>), minimized over both gains
-    (41 x 41 signed log grid, then Nelder-Mead refinement; exact ties
-    resolve toward smaller |g|).  Values below 1 certify entanglement.
+        (|g_z g_y| <S_L^x> + <S_R^x>), minimized over both gains in
+    closed form.  Values below 1 certify entanglement.
+
+    Each gain takes the sign of its cross covariance.  With x = |g_y|,
+    y = |g_z|, Var_y = a2 x^2 - 2|a1| x + a0, Var_z = b2 y^2 - 2|b1| y
+    + b0, c = <S_L^x> and d = <S_R^x>, the two stationarity conditions
+    eliminate to c(d|b1| a2 + c|a1| b0) x^2 + (d^2 a2 b2 - c^2 a0 b0) x
+    - d(d|a1| b2 + c|b1| a0) = 0 with y = (c b0 x + d|b1|) / (d b2 +
+    c|b1| x).  The candidates are its nonnegative roots, the origin,
+    the axes and the pair of _descent_point minima, and infinite gain,
+    scored by its limit (with c > 0: 0 if a2 <= 0 or b2 <= 0, and
+    sqrt(a2 b2) / c if a1 = b1 = 0).  A denominator <= 0 scores inf,
+    which covers c <= 0.  Among candidates within 1e-12 (relative) of
+    the least value the smallest |g_y| + |g_z| wins, so the exact t = 0
+    product, flat along |g_y| = |g_z|, reports gains 0; when infinite
+    gain wins, there is no minimizer and UndefinedWitnessError is
+    raised.  A minimizer beyond the float range (moments some 1e300
+    apart) is out of reach; the best candidate is returned instead.
     """
     if ms.means[_RX] <= _denominator_floor(ms):
         raise UndefinedWitnessError("mean transverse polarization too small")
-    objective = _giovannetti_objective(ms)
-    best_val, best_g = _grid_minimum(ms, _gain_grid())
-    step = max(0.05, 0.1 * max(abs(best_g[0]), abs(best_g[1])))
-    simplex = np.array(
-        [
-            best_g,
-            (best_g[0] + step, best_g[1]),
-            (best_g[0], best_g[1] + step),
-        ]
-    )
-    res = optimize.minimize(
-        objective,
-        np.asarray(best_g),
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "xatol": 1e-9,
-            # relative: an absolute 1e-13 is below one ulp once E_G > ~500
-            "fatol": 1e-13 * max(1.0, abs(best_val)),
-            "maxiter": 2000,
-        },
-    )
-    if not res.success:
-        raise OptimizerError(
-            "gain refinement did not converge", best=(best_val, best_g)
-        )
-    if res.fun < best_val - 1e-12:
-        best_val = float(res.fun)
-        best_g = (float(res.x[0]), float(res.x[1]))
-    elif abs(res.fun - best_val) <= 1e-12 and abs(res.x[0]) + abs(res.x[1]) < abs(
-        best_g[0]
-    ) + abs(best_g[1]):
-        best_g = (float(res.x[0]), float(res.x[1]))
-        best_val = float(res.fun)
-    return best_val, best_g[0], best_g[1]
+    v = ms.V
+    c, d = float(ms.means[_LX]), float(ms.means[_RX])
+    a2, a1, a0 = float(v[_LY, _LY]), float(v[_LY, _RY]), float(v[_RY, _RY])
+    b2, b1, b0 = float(v[_LZ, _LZ]), float(v[_LZ, _RZ]), float(v[_RZ, _RZ])
+    p, q = abs(a1), abs(b1)
+    x_a, y_b = _descent_point(a2, p, a0), _descent_point(b2, q, b0)
+    points = [(0.0, 0.0), (x_a, 0.0), (0.0, y_b), (x_a, y_b), (math.inf, math.inf)]
+    for x in _real_roots(
+        c * (d * q * a2 + c * p * b0),
+        d * d * a2 * b2 - c * c * a0 * b0,
+        -d * (d * p * b2 + c * q * a0),
+    ):
+        den = d * b2 + c * q * x
+        if den != 0.0:
+            points.append((x, (c * b0 * x + d * q) / den))
+    scored = []
+    for x, y in points:
+        if not (x >= 0.0 and y >= 0.0):
+            continue
+        # Var_y / X^2, Var_z / Y^2 and the denominator / (X Y) with X =
+        # max(1, x), Y = max(1, y): no overflow, and x = inf scores its limit
+        s, r = 1.0 / max(1.0, x), 1.0 / max(1.0, y)
+        xs, yr = min(x, 1.0), min(y, 1.0)
+        var_y = (a2 * xs - 2.0 * p * s) * xs + a0 * s * s
+        var_z = (b2 * yr - 2.0 * q * r) * yr + b0 * r * r
+        den = c * xs * yr + d * s * r
+        val = math.sqrt(max(var_y, 0.0) * max(var_z, 0.0)) / den if den > 0.0 else math.inf
+        scored.append((val, (-x if a1 < 0.0 else x) + 0.0, (-y if b1 < 0.0 else y) + 0.0))
+    best = min(val for val, _, _ in scored)
+    tied = [entry for entry in scored if entry[0] <= best + 1e-12 * best]
+    val, g_y, g_z = min(tied, key=lambda entry: abs(entry[1]) + abs(entry[2]))
+    if math.inf in (abs(g_y), abs(g_z)):
+        raise UndefinedWitnessError("product criterion has its infimum at infinite gain")
+    return val, g_y, g_z
 
 
 def wineland_xi(ms, n=None):
@@ -339,9 +305,8 @@ def witness_suite(ms, t):
     rest are evaluated on the quadratures rotated by the squeezing angle
     theta(t).  A witness that is undefined on these moments
     (UndefinedWitnessError: its mean polarization is below the floor)
-    reports NaN in its own fields only.  For giovannetti those are e_g,
-    g_y and g_z, which are also NaN when the gain refinement does not
-    converge (OptimizerError).
+    reports NaN in its own fields only; for giovannetti those are e_g,
+    g_y and g_z, also when its infimum lies at infinite gain.
     """
     theta = squeezing_angle(ms.n_total, t)
     rotated = rotate_moments(ms, theta)
@@ -354,7 +319,7 @@ def witness_suite(ms, t):
 
     try:
         e_g, g_y, g_z = giovannetti(rotated)
-    except (UndefinedWitnessError, OptimizerError):
+    except UndefinedWitnessError:
         e_g = g_y = g_z = math.nan
     return WitnessResult(
         t=float(t),

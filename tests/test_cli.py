@@ -2,13 +2,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from sqsplit import witness
+import sqsplit
 from sqsplit.cli import (
     EquivalenceReport,
     SweepConfig,
@@ -47,6 +49,31 @@ def parse_csv(text):
     columns = lines[1].split(",")
     rows = [[float(x) for x in ln.split(",")] for ln in lines[2:]]
     return config, columns, rows
+
+
+@pytest.mark.parametrize("module", ["sqsplit", "sqsplit.cli"])
+def test_import_leaves_scipy_out(module):
+    # scipy is a test dependency only; a fresh import must not pull it in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sqsplit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import sys, {module}; sys.exit(int('scipy' in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_parser_is_built_once():
+    assert sqsplit.cli._build_parser() is sqsplit.cli._build_parser()
+    # the shared parser carries no flag from one call into the next
+    argv = ["criteria", "--n", "4", "--steps", "1"]
+    for extra, t_max in ((["--t-max", "0.01"], 0.01), ([], 0.02)):
+        code, out, _ = run_cli(argv + extra)
+        assert code == 0
+        assert parse_csv(out)[0]["t_max"] == t_max
 
 
 # ---------------------------------------------------------------- state
@@ -231,45 +258,18 @@ def test_criteria_row_matches_sector_mixture_n500(t):
     want = astuple(witness_suite(moments(mixed_split_state(500, t)), t))
     for name, got, ref in zip(CRITERIA_COLUMNS, row, want):
         tol = 1e-8
-        if name in ("g_y", "g_z"):
-            if t == 0.0:
-                # the coherent product's objective is flat along
-                # |g_y| = |g_z|, so its value does not pin the gains
-                continue
-            # Nelder-Mead resolves a smooth minimum's location only to
-            # about sqrt(eps): on the sector route alone a 1-ulp change
-            # of t moves g_y by 3.7e-8 at t = 1e-4
-            tol = 1e-6
+        if name in ("g_y", "g_z") and t == 0.0:
+            # the coherent product's objective is flat along
+            # |g_y| = |g_z|, so its value does not pin the gains
+            continue
         assert abs(got - ref) <= tol * max(1.0, abs(ref)), (name, got, ref)
     if t == 0.0:
         assert abs(row[CRITERIA_COLUMNS.index("E_CM")]) <= 1.3e-10
 
 
-def test_criteria_survives_gain_refinement_failure(monkeypatch):
-    # a gain refinement that does not converge turns only the Giovannetti
-    # cells NaN; the rest of the row is still written
-    real_minimize = witness.optimize.minimize
-
-    def not_converged(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
-        res.success = False
-        return res
-
-    monkeypatch.setattr(witness.optimize, "minimize", not_converged)
-    code, out, _ = run_cli(
-        ["criteria", "--n", "12", "--mode", "conditional", "--nl", "5", "--steps", "2"]
-    )
-    assert code == 0
-    _, columns, rows = parse_csv(out)
-    for row in rows:
-        nan_cells = {name for name, x in zip(columns, row) if math.isnan(x)}
-        assert nan_cells == {"E_G", "g_y", "g_z"}
-
-
 def test_criteria_gain_refinement_converges_at_large_eg():
-    # E_G is about 2.4e4 here, where an absolute fatol of 1e-13 is below
-    # the value's ulp and Nelder-Mead used to run out of iterations; the
-    # relative tolerance lets it stop at the (non-detecting) minimum
+    # E_G is about 2.4e4 here, far above the detection threshold: the
+    # gains and the (non-detecting) minimum are still finite
     t = "0.29310344827586204"
     code, out, _ = run_cli(
         ["criteria", "--n", "12", "--mode", "conditional", "--nl", "5",

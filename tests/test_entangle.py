@@ -230,6 +230,18 @@ def test_bracket_contains_untruncated_negativity(n, t):
     assert low <= exact <= high
 
 
+@pytest.mark.parametrize("n", [300, 500])
+def test_bracket_contains_product_negativity_at_zero_time(n):
+    # at t = 0 every sector is a product and the trim drops nothing that
+    # matters, so only the roundoff margin decides whether the exact
+    # value lies inside the bracket
+    exact = log_negativity_mixed(mixed_split_state(n, 0.0, window=0.0))
+    for mixture in (mixed_split_state(n, 0.0), mixed_split_state(n, 0.0, window=0.0)):
+        low, high = log_negativity_bracket(mixture)
+        assert low <= exact <= high
+        assert high - low <= 1e-9
+
+
 def test_mirror_reuse_needs_transposed_amplitudes():
     # high blocks twisted for another time have the mirror's shape but
     # not its amplitudes, so each needs its own decomposition

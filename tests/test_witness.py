@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
 from sqsplit.observables import MomentSet, moments, rotate_moments
 from sqsplit.statekit import (
@@ -14,10 +16,6 @@ from sqsplit.statekit import (
     split,
 )
 from sqsplit.witness import (
-    _gain_grid,
-    _giovannetti_objective,
-    _grid_minimum,
-    OptimizerError,
     UndefinedWitnessError,
     WitnessResult,
     covariance_criterion,
@@ -193,8 +191,97 @@ def test_giovannetti_zero_time():
     assert g_y == 0.0 and g_z == 0.0
 
 
+# ---------------------------------------------------------------------------
+# the search oracle for giovannetti: a 41 x 41 signed log grid, refined by
+# Nelder-Mead from its best point (the production route before the
+# closed form)
+
+
+def _giovannetti_objective(ms):
+    v = ms.V
+    mx_l = ms.means[0]
+    mx_r = ms.means[3]
+
+    def objective(g):
+        g_y, g_z = g
+        var_z = g_z * g_z * v[2, 2] - 2.0 * g_z * v[2, 5] + v[5, 5]
+        var_y = g_y * g_y * v[1, 1] - 2.0 * g_y * v[1, 4] + v[4, 4]
+        den = abs(g_z * g_y) * mx_l + mx_r
+        if den <= 0.0:
+            return math.inf
+        return math.sqrt(max(var_z, 0.0) * max(var_y, 0.0)) / den
+
+    return objective
+
+
+def _gain_grid():
+    mags = np.exp(np.linspace(math.log(1e-3), math.log(4.0), 20))
+    return np.concatenate([-mags[::-1], [0.0], mags])
+
+
+def _grid_objective(ms, grid):
+    """The objective on grid x grid, g_y by row and g_z by column, each
+    entry bit-identical to objective((g_y, g_z))."""
+    v = ms.V
+    var_z = grid * grid * v[2, 2] - 2.0 * grid * v[2, 5] + v[5, 5]
+    var_y = grid * grid * v[1, 1] - 2.0 * grid * v[1, 4] + v[4, 4]
+    # np.where(x < 0, 0, x) is max(x, 0.0), NaN and -0.0 included
+    var_z = np.where(var_z < 0.0, 0.0, var_z)
+    var_y = np.where(var_y < 0.0, 0.0, var_y)
+    den = np.abs(np.multiply.outer(grid, grid)) * ms.means[0] + ms.means[3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.sqrt(np.multiply.outer(var_y, var_z)) / den
+    return np.where(den <= 0.0, math.inf, values)
+
+
+def _grid_minimum(ms, grid):
+    """Best grid point in scan order (g_y outer, g_z inner): a value more
+    than 1e-12 below the lead takes it, and within 1e-12 of the lead the
+    smaller |g_y| + |g_z| wins."""
+    flat = _grid_objective(ms, grid).ravel()
+    # each tie moves the lead up by at most 1e-12, so entries more than
+    # 1e-8 above the running minimum can never take it and are skipped
+    floor = np.fmin.accumulate(flat)
+    reachable = flat <= floor + 1e-8 * np.maximum(1.0, np.abs(floor))
+    best_val = math.inf
+    best_g = (0.0, 0.0)
+    for index in np.flatnonzero(reachable).tolist():
+        val = float(flat[index])
+        g_y, g_z = grid[index // grid.size], grid[index % grid.size]
+        better = val < best_val - 1e-12
+        tied = abs(val - best_val) <= 1e-12
+        if better or (
+            tied and abs(g_y) + abs(g_z) < abs(best_g[0]) + abs(best_g[1])
+        ):
+            best_val = val
+            best_g = (g_y, g_z)
+    return best_val, best_g
+
+
+def _search_oracle(ms):
+    """Least objective value seen by the grid and by the Nelder-Mead
+    refinement started from its best point."""
+    best_val, best_g = _grid_minimum(ms, _gain_grid())
+    step = max(0.05, 0.1 * max(abs(best_g[0]), abs(best_g[1])))
+    simplex = np.array(
+        [best_g, (best_g[0] + step, best_g[1]), (best_g[0], best_g[1] + step)]
+    )
+    res = optimize.minimize(
+        _giovannetti_objective(ms),
+        np.asarray(best_g),
+        method="Nelder-Mead",
+        options={
+            "initial_simplex": simplex,
+            "xatol": 1e-9,
+            "fatol": 1e-13 * max(1.0, abs(best_val)),
+            "maxiter": 2000,
+        },
+    )
+    return min(best_val, float(res.fun))
+
+
 def _scalar_grid_scan(ms):
-    """Reference for the grid stage of giovannetti: the scalar objective
+    """Reference for the oracle's grid stage: the scalar objective
     called at every point in scan order (g_y outer, g_z inner)."""
     objective = _giovannetti_objective(ms)
     grid = _gain_grid()
@@ -222,19 +309,102 @@ def _random_moment_set(rng):
     return MomentSet(int(rng.integers(3, 500)), means, v, np.zeros((6, 6)))
 
 
-def test_grid_minimum_matches_scalar_scan():
-    rng = np.random.default_rng(1808)
-    cases = [_random_moment_set(rng) for _ in range(200)]
-    # the coherent product at t = 0: a valley of ties along |g_y| = |g_z|
+def _coherent_products():
+    """The coherent product at t = 0, whose objective is flat along
+    |g_y| = |g_z|, at N = 8 and 500."""
+    cases = []
     for n in (8, 500):
         coherent = spin_coherent(1 / math.sqrt(2), 1 / math.sqrt(2), n)
         ms = moments(split(one_axis_twist(coherent, 0.0)))
         cases.append(rotate_moments(ms, squeezing_angle(n, 0.0)))
+    return cases
+
+
+def test_grid_minimum_matches_scalar_scan():
+    rng = np.random.default_rng(1808)
+    cases = [_random_moment_set(rng) for _ in range(200)] + _coherent_products()
     for ms in cases:
         want_val, want_g = _scalar_grid_scan(ms)
         got_val, got_g = _grid_minimum(ms, _gain_grid())
         assert float(got_val).hex() == float(want_val).hex()
         assert [float(g).hex() for g in got_g] == [float(g).hex() for g in want_g]
+
+
+def _assert_not_above(value, bound):
+    assert value <= bound + 1e-12 * max(1.0, value), (value, bound)
+
+
+def test_giovannetti_not_above_search_oracle():
+    rng = np.random.default_rng(1808)
+    cases = [_random_moment_set(rng) for _ in range(200)] + _coherent_products()
+    # the criteria-n500 sweep: criteria --n 500 --steps 21 --t-max 0.02
+    for t in np.linspace(0.0, 0.02, 21).tolist():
+        cases.append(rotate_moments(_split_moments(500, t), squeezing_angle(500, t)))
+    defined = 0
+    for ms in cases:
+        if ms.means[3] <= 1e-9 * max(1.0, ms.n_total):
+            with pytest.raises(UndefinedWitnessError):
+                giovannetti(ms)
+            continue
+        val, g_y, g_z = giovannetti(ms)
+        _assert_not_above(val, _search_oracle(ms))
+        # the reported gains attain the reported value
+        assert abs(_giovannetti_objective(ms)((g_y, g_z)) - val) <= 1e-12 * max(1.0, val)
+        defined += 1
+    assert defined >= 100
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    entries=st.lists(st.floats(-50.0, 50.0), min_size=21, max_size=21),
+    means=st.lists(st.floats(-50.0, 50.0), min_size=6, max_size=6),
+    psd=st.booleans(),
+)
+def test_no_grid_point_beats_closed_form(entries, means, psd):
+    a = np.zeros((6, 6))
+    a[np.triu_indices(6)] = entries
+    v = a @ a.T if psd else a + np.triu(a, 1).T
+    ms = MomentSet(100, np.array(means), v, np.zeros((6, 6)))
+    if ms.means[3] <= 1e-9 * ms.n_total:
+        return
+    try:
+        val, _, _ = giovannetti(ms)
+    except UndefinedWitnessError:
+        # the infimum lies at infinite gain, which only a denominator
+        # that grows with the gains allows
+        assert ms.means[0] > 0.0
+        return
+    _assert_not_above(val, float(_grid_objective(ms, _gain_grid()).min()))
+
+
+def _diagonal_moments(means, diag, cross=(0.0, 0.0)):
+    v = np.diag(diag)
+    v[1, 4] = v[4, 1] = cross[0]
+    v[2, 5] = v[5, 2] = cross[1]
+    return MomentSet(4, np.array(means), v, np.zeros((6, 6)))
+
+
+def test_giovannetti_tie_rule_and_degenerate_cases():
+    # exact moments of the t = 0 product: the whole valley |g_y| = |g_z|
+    # ties and the smallest gains win
+    val, g_y, g_z = giovannetti(_coherent_products()[0])
+    assert abs(val - 1.0) < 1e-12 and (g_y, g_z) == (0.0, 0.0)
+    # Var(g_y S_L^y - S_R^y) does not depend on g_y and <S_L^x> > 0: the
+    # objective falls towards 0 as |g_y| grows, and no gain attains it
+    flat = [1.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    with pytest.raises(UndefinedWitnessError):
+        giovannetti(_diagonal_moments([1.0, 0, 0, 1.0, 0, 0], flat))
+    # the same variances with <S_L^x> = 0: no gain helps, gains 0
+    assert giovannetti(_diagonal_moments([0.0, 0, 0, 2.0, 0, 0], flat)) == (0.5, 0.0, 0.0)
+    # <S_L^x> < 0: the denominator shrinks as |g_y g_z| grows
+    neg = _diagonal_moments([-0.3, 0, 0, 1.0, 0, 0], [1.0] * 6, (0.5, -0.5))
+    val, g_y, g_z = giovannetti(neg)
+    _assert_not_above(val, _search_oracle(neg))
+    assert g_y > 0.0 > g_z
+    # a gain that drives a variance negative is clipped to exactly 0:
+    # g_y^2 - 4 g_y + 1 at g_y = 1/2
+    clipped = _diagonal_moments([1.0, 0, 0, 1.0, 0, 0], [1.0] * 6, (2.0, 0.0))
+    assert giovannetti(clipped) == (0.0, 0.5, 0.0)
 
 
 def test_giovannetti_gain_stationarity():
@@ -348,7 +518,6 @@ def test_witness_suite_bundle():
     assert abs(result.e_cm - covariance_criterion(ms)) < 1e-14
     assert result.entangled == (result.e_dgcz < 1.0 or result.e_cm < 0.0 or result.e_g < 1.0)
     assert result.steerable == (min(result.e_steer_lr, result.e_steer_rl) < 1.0)
-    assert issubclass(OptimizerError, RuntimeError)
 
 
 def test_witness_suite_undefined_witnesses_are_nan():
