@@ -167,18 +167,33 @@ def _write_csv(path, config, columns, rows):
             fh.write(text)
 
 
+def _lattice_csv(config, thetas, phis, values):
+    """CSV text theta,phi,w of a (theta x phi) lattice in theta-major
+    order, byte for byte what _write_csv writes, with each theta and phi
+    formatted once."""
+    lines = ["# " + json.dumps(config, sort_keys=True), "theta,phi,w"]
+    middles = ["," + _fmt(phi) + "," for phi in phis.tolist()]
+    for theta, row in zip(thetas.tolist(), values):
+        head = _fmt(theta)
+        lines.extend([f"{head}{mid}{w:.17g}" for mid, w in zip(middles, row.tolist())])
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(path, text):
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+
+
 def _json_row(row):
     # RFC 8259 has no NaN; an undefined witness cell is written as null
     return [None if math.isnan(x) else x for x in row]
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 # about 1 s per mixed-mode point at n = 800 on 2 vCPUs
@@ -533,12 +548,7 @@ def _cmd_wigner(args):
     grid = run_wigner(cfg, kind, k_r, t)
     thetas, phis, values = display_lattice(grid)
     config = cfg.echo(command="wigner", kind=kind, kr=k_r, t=t)
-    rows = (
-        (theta, phi, values[i, m])
-        for i, theta in enumerate(thetas)
-        for m, phi in enumerate(phis)
-    )
-    _write_csv(cfg.out, config, ("theta", "phi", "w"), rows)
+    _write_text(cfg.out, _lattice_csv(config, thetas, phis, values))
     sidecar = {
         "j": grid.j,
         "t": t,

@@ -174,26 +174,32 @@ def legendre_table(k_max, x):
     p[0, 0] = math.exp(log_c)
     with np.errstate(divide="ignore"):
         log_s = np.log(s)
+    central = log_binomial(2 * np.arange(k_max + 1), np.arange(k_max + 1)).tolist()
     for q in range(1, k_max + 1):
         lc = 0.5 * (
             math.log((2 * q + 1) / (4.0 * math.pi))
-            + log_binomial(2 * q, q)
+            + central[q]
             - 2 * q * _LN2
         )
         sign = -1.0 if q % 2 else 1.0
         p[q, q] = sign * np.exp(lc + q * log_s)
     for q in range(0, k_max):
         p[q + 1, q] = math.sqrt(2 * q + 3) * x * p[q, q]
-    for q in range(0, k_max + 1):
-        for k in range(q + 2, k_max + 1):
-            a = math.sqrt((4 * k * k - 1.0) / (k * k - q * q))
-            b = math.sqrt(
-                (2 * k + 1.0)
-                * (k + q - 1.0)
-                * (k - q - 1.0)
-                / ((2 * k - 3.0) * (k * k - q * q))
-            )
-            p[k, q] = a * x * p[k - 1, q] - b * p[k - 2, q]
+    # recurrence coefficients of every (k, q < k - 1) step, then one
+    # vectorised step over all such q per k
+    k, q = np.tril_indices(k_max + 1, -2)
+    a = np.zeros((k_max + 1, k_max + 1, 1))
+    b = np.zeros((k_max + 1, k_max + 1, 1))
+    a[k, q, 0] = np.sqrt((4 * k * k - 1.0) / (k * k - q * q))
+    b[k, q, 0] = np.sqrt(
+        (2 * k + 1.0)
+        * (k + q - 1.0)
+        * (k - q - 1.0)
+        / ((2 * k - 3.0) * (k * k - q * q))
+    )
+    for k in range(2, k_max + 1):
+        lo = slice(0, k - 1)
+        p[k, lo] = a[k, lo] * x * p[k - 1, lo] - b[k, lo] * p[k - 2, lo]
     return p
 
 

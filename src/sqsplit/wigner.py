@@ -4,11 +4,16 @@ A spin-j density matrix is expanded in multipoles
 rho_kq = sum_{m,m'} (-1)^{j-m} sqrt(2k+1) (j k j; -m q m') <j m|rho|j m'>
 and the Wigner function is the harmonic sum W = sum rho_kq Y_kq, so
 integral(W dOmega) = sqrt(4 pi/(2j+1)) tr(rho).  Every Wigner function
-goes through that one multipole expansion.  The closed forms build the
-left-well density matrix of the marginal (right well traced out) and of
-the heralded state after a right-well Fock measurement directly from
-binomial weights; agreement with the matrices traced or projected out
-of the two-well state cross-validates the whole construction chain.
+goes through that one multipole expansion.  Its 3j symbols come as one
+table from the three-term recursion in k (within 1e-13 relative of
+sympy's exact values on sampled symbols up to 2j = 120); the scalar
+Racah sum `specfun.wigner_3j`, whose cancellation costs it about 1e-11
+relative at 2j = 36, serves only as a test oracle.  The closed forms
+build the left-well density matrix of the marginal (right well traced
+out) and of the heralded state after a right-well Fock measurement
+directly from binomial weights; agreement with the matrices traced or
+projected out of the two-well state cross-validates the whole
+construction chain.
 """
 
 import math
@@ -23,7 +28,6 @@ from .specfun import (
     gauss_legendre_sphere,
     legendre_table,
     log_binomial,
-    wigner_3j,
 )
 
 __all__ = [
@@ -71,33 +75,98 @@ def default_rule(j):
 
 @lru_cache(maxsize=None)
 def _threej_table(two_j):
-    """T[k, i, i'] = (j k j; -m_i, m_i - m_i', m_i') with m = -j + index."""
+    """T[k, i, i'] = (j k j; -m_i, m_i - m_i', m_i') with m = -j + index.
+
+    With q = m - m', f(k) = (k j j; q, -m, m') = (-1)^(2j+k) T[k, i, i']
+    obeys, on |q| <= k <= 2j, the three-term recursion (Schulten & Gordon,
+    J. Math. Phys. 16, 1961 (1975))
+        k A(k+1) f(k+1) + B(k) f(k) + (k+1) A(k) f(k-1) = 0,
+        A(k) = sqrt(k^2 ((2j+1)^2 - k^2) (k^2 - q^2)),
+        B(k) = (2k+1) k (k+1) (m + m'),
+    run for all (m, m') at once.  The backward pass from f(2j) = 1 is
+    stable down to its largest |f|; the forward pass from f(|q|) = 1
+    (f(1)/f(0) = -m/sqrt(j(j+1)) when q = 0) replaces it below that point,
+    scaled to agree there.  sum_k (2k+1) f^2 = 1 and sgn f(2j) = (-1)^q
+    fix the scale and sign.  Both passes write into the table itself and
+    every other temporary is (dim, dim), so a build peaks at about 1.5
+    tables.
+    """
     dim = two_j + 1
-    table = np.zeros((dim, dim, dim))
+    idx = np.arange(dim)
+    q = np.subtract.outer(idx, idx)
+    abs_q = np.abs(q)
+    q2 = (q * q).astype(float)
+    msum = (np.add.outer(idx, idx) - two_j).astype(float)
+
+    def coef_a(k):
+        # zero for k <= |q| and for k = 2j + 1
+        return np.sqrt(np.maximum(k * k * (dim * dim - k * k) * (k * k - q2), 0.0))
+
+    def coef_b(k):
+        return (2 * k + 1.0) * k * (k + 1.0) * msum
+
+    f = np.zeros((dim, dim, dim))
+    f[two_j] = 1.0
+    peak = np.ones((dim, dim))
+    k_star = np.full((dim, dim), two_j)
+    a_up = coef_a(two_j + 1.0)
+    for k in range(two_j, 0, -1):
+        a_k = coef_a(k)
+        ahead = k * a_up * f[k + 1] if k < two_j else 0.0
+        num = -(ahead + coef_b(k) * f[k])
+        np.divide(num, (k + 1.0) * a_k, out=f[k - 1], where=k > abs_q)
+        mag = np.abs(f[k - 1])
+        np.copyto(k_star, k - 1, where=mag > peak)
+        np.maximum(peak, mag, out=peak)
+        a_up = a_k
+
+    scale = np.ones((dim, dim))
+    prev = np.zeros((dim, dim))
+    cur = np.zeros((dim, dim))
+    k_last = int(k_star.max())
+    for k in range(k_last + 1):
+        cur[abs_q == k] = 1.0
+        np.divide(f[k], cur, out=scale, where=k_star == k)
+        np.copyto(f[k], cur, where=k < k_star)
+        if k == k_last:
+            break
+        nxt = np.zeros((dim, dim))
+        if k == 0:
+            nxt[q == 0] = -0.5 * msum[q == 0] / math.sqrt(0.25 * two_j * (two_j + 2.0))
+        else:
+            num = -(coef_b(k) * cur + (k + 1.0) * coef_a(k) * prev)
+            np.divide(num, k * coef_a(k + 1.0), out=nxt, where=k >= abs_q)
+        prev, cur = cur, nxt
+
+    norm = np.zeros((dim, dim))
     for k in range(dim):
-        for i in range(dim):
-            m = -0.5 * two_j + i
-            for ip in range(dim):
-                mp = -0.5 * two_j + ip
-                q = m - mp
-                if abs(q) > k:
-                    continue
-                table[k, i, ip] = wigner_3j(0.5 * two_j, k, 0.5 * two_j, -m, q, mp)
-    table.setflags(write=False)
-    return table
+        np.multiply(f[k], scale, out=f[k], where=k < k_star)
+        norm += (2 * k + 1.0) * f[k] * f[k]
+    f *= np.where(q % 2, -1.0, 1.0) / np.sqrt(norm)
+    f[(two_j + 1) % 2 :: 2] *= -1.0
+    f.setflags(write=False)
+    return f
 
 
 def _multipoles(rho, two_j):
-    """Multipole coefficients c[k, q + 2j] of a spin-j operator."""
+    """Multipole coefficients c[k, q + 2j] of a spin-j operator.
+
+    c_kq = sqrt(2k+1) sum_i (-1)^(2j-i) T[k, i, i-q] rho[i, i-q]: the 4j+1
+    diagonals of the table and of the signed matrix are gathered once
+    and contracted in one einsum.
+    """
     dim = two_j + 1
     table = _threej_table(two_j)
-    signs = np.array([(-1.0) ** (two_j - i) for i in range(dim)])
-    coeffs = np.zeros((dim, 2 * two_j + 1), dtype=complex)
-    for k in range(dim):
-        weighted = signs[:, None] * table[k] * rho
-        for q in range(-k, k + 1):
-            coeffs[k, q + two_j] = math.sqrt(2 * k + 1) * np.trace(weighted, offset=-q)
-    return coeffs
+    rows = np.arange(dim)
+    cols = rows - np.arange(-two_j, two_j + 1)[:, None]  # (q, i) -> i - q
+    inside = (cols >= 0) & (cols < dim)
+    cols = np.where(inside, cols, 0)
+    signs = np.where((two_j - rows) % 2, -1.0, 1.0)
+    diagonals = np.where(inside, signs * np.asarray(rho)[rows, cols], 0.0)
+    # real and imaginary parts side by side keep the gathered table real
+    parts = np.stack((diagonals.real, diagonals.imag))
+    re, im = np.einsum("kqi,rqi->rkq", table[:, rows, cols], parts)
+    return np.sqrt(2.0 * rows + 1.0)[:, None] * (re + 1j * im)
 
 
 def _evaluate(coeffs, two_j, thetas, phis):

@@ -15,6 +15,7 @@ from sqsplit.cli import (
     EquivalenceReport,
     SweepConfig,
     UsageError,
+    _write_csv,
     main,
     run_criteria_sweep,
     run_entanglement_sweep,
@@ -22,7 +23,13 @@ from sqsplit.cli import (
 )
 from sqsplit.entangle import log_negativity_bracket, log_negativity_pure
 from sqsplit.observables import moments
+from sqsplit.specfun import gauss_legendre_sphere
 from sqsplit.statekit import effective_evolution, mixed_split_state
+from sqsplit.wigner import (
+    conditional_wigner_closed,
+    display_lattice,
+    marginal_wigner_closed,
+)
 from sqsplit.witness import witness_suite
 
 
@@ -497,6 +504,41 @@ def test_wigner_stdout_when_out_omitted():
     )
     assert code == 0
     assert len(out.splitlines()) == 2 + 181 * 361
+
+
+@pytest.mark.parametrize(
+    "kind, order",
+    [("marginal", None), ("conditional", None), ("marginal", 5), ("conditional", 5)],
+)
+def test_wigner_csv_matches_per_cell_writer(tmp_path, kind, order):
+    # the lattice writer formats each theta and phi once; its text must be
+    # what the per-cell row generator through _write_csv gave, to the byte
+    argv = ["wigner", "--n", "40", "--nl", "36", "--kind", kind, "--t", "0.3"]
+    argv += ["--kr", "2"] if kind == "conditional" else []
+    argv += ["--order", str(order)] if order is not None else []
+    out = tmp_path / "w.csv"
+    assert run_cli(argv + ["--out", str(out)])[0] == 0
+    got = out.read_bytes()
+
+    rule = None if order is None else gauss_legendre_sphere(order, 2 * order)
+    if kind == "marginal":
+        grid = marginal_wigner_closed(36, 4, 0.3, rule)
+    else:
+        grid = conditional_wigner_closed(36, 4, 2, 0.3, rule)
+    thetas, phis, values = display_lattice(grid)
+    rows = (
+        (theta, phi, values[i, m])
+        for i, theta in enumerate(thetas)
+        for m, phi in enumerate(phis)
+    )
+    config = json.loads(got.split(b"\n", 1)[0][2:])
+    oracle = tmp_path / "oracle.csv"
+    _write_csv(str(oracle), config, ("theta", "phi", "w"), rows)
+    assert got == oracle.read_bytes()
+
+    code, text, _ = run_cli(argv)
+    assert code == 0
+    assert text.encode() == got
 
 
 def test_wigner_usage_errors():

@@ -190,6 +190,48 @@ def test_legendre_table_matches_scipy_lpmv():
     assert np.all(table[2, 3] == 0.0)
 
 
+def _legendre_table_scalar_steps(k_max, x):
+    # one scalar (k, q) recurrence step at a time: the reference the
+    # vectorised table must match bit for bit
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    p = np.zeros((k_max + 1, k_max + 1, x.size))
+    p[0, 0] = math.exp(0.5 * (math.log(1.0 / (4.0 * math.pi))))
+    with np.errstate(divide="ignore"):
+        log_s = np.log(s)
+    for q in range(1, k_max + 1):
+        lc = 0.5 * (
+            math.log((2 * q + 1) / (4.0 * math.pi))
+            + log_binomial(2 * q, q)
+            - 2 * q * math.log(2.0)
+        )
+        sign = -1.0 if q % 2 else 1.0
+        p[q, q] = sign * np.exp(lc + q * log_s)
+    for q in range(0, k_max):
+        p[q + 1, q] = math.sqrt(2 * q + 3) * x * p[q, q]
+    for q in range(0, k_max + 1):
+        for k in range(q + 2, k_max + 1):
+            a = math.sqrt((4 * k * k - 1.0) / (k * k - q * q))
+            b = math.sqrt(
+                (2 * k + 1.0)
+                * (k + q - 1.0)
+                * (k - q - 1.0)
+                / ((2 * k - 3.0) * (k * k - q * q))
+            )
+            p[k, q] = a * x * p[k - 1, q] - b * p[k - 2, q]
+    return p
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 5, 36, 40])
+def test_legendre_table_equals_scalar_steps(k_max):
+    rng = np.random.default_rng(k_max)
+    nodes = np.cos(np.linspace(0.0, math.pi, 181))
+    x = np.concatenate(([-1.0, 1.0, 0.0], nodes, rng.uniform(-1.0, 1.0, 20)))
+    for points in (x, 0.3):
+        want = _legendre_table_scalar_steps(k_max, points)
+        assert np.array_equal(legendre_table(k_max, points), want)
+
+
 def test_spherical_harmonic_values():
     assert abs(spherical_harmonic(0, 0, 1.1, 2.2) - 1 / math.sqrt(4 * math.pi)) < 1e-14
     assert abs(spherical_harmonic(1, 0, 0.0, 0.3) - math.sqrt(3 / (4 * math.pi))) < 1e-14

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sqsplit import specfun, wigner
 from sqsplit.observables import project_right_fock, reduced_density_left
-from sqsplit.specfun import gauss_legendre_sphere
+from sqsplit.specfun import gauss_legendre_sphere, wigner_3j
 from sqsplit.statekit import effective_evolution
 from sqsplit.wigner import (
     WignerGrid,
@@ -241,3 +243,119 @@ def test_display_lattice_layout():
     assert np.allclose(vals[:, 0], vals[:, -1], atol=1e-12)  # periodic seam
     small = display_lattice(grid, n_theta=19, n_phi=37)[2]
     assert small.shape == (19, 37)
+
+
+# ------------------------------------------------------------ 3j table
+
+
+def _sympy_3j(two_j, k, i, ip):
+    # T[k, i, i'] as sympy's exact value
+    from sympy import Rational
+    from sympy.physics.wigner import wigner_3j as sympy_3j
+
+    half = Rational(two_j, 2)
+    return sympy_3j(half, k, half, half - i, i - ip, ip - half)
+
+
+@pytest.mark.parametrize("two_j", range(13))
+def test_threej_table_matches_racah_sum(two_j):
+    # the Racah sum itself is off by up to 1.4e-15 at 2j = 12 against
+    # sympy (the table by 2.2e-16), so the bound is 2e-15
+    table = wigner._threej_table(two_j)
+    j = 0.5 * two_j
+    for k in range(two_j + 1):
+        for i in range(two_j + 1):
+            for ip in range(two_j + 1):
+                m, mp = i - j, ip - j
+                want = wigner_3j(j, k, j, -m, m - mp, mp) if abs(i - ip) <= k else 0.0
+                assert abs(table[k, i, ip] - want) <= 2e-15, (k, i, ip)
+
+
+@pytest.mark.parametrize("two_j", [20, 36, 40])
+def test_threej_table_matches_exact_symbols(two_j):
+    # the 15 smallest nonzero symbols (deep in the tails, where the
+    # recursion is hardest) and 15 random ones, to 1e-13 relative; the
+    # Racah sum misses this by 1.2e-13, 2.3e-11 and 6.5e-13
+    table = wigner._threej_table(two_j)
+    flat = np.flatnonzero(table)
+    by_size = flat[np.argsort(np.abs(table.ravel()[flat]), kind="stable")]
+    smallest = []
+    for index in by_size:
+        k, i, ip = map(int, np.unravel_index(index, table.shape))
+        want = _sympy_3j(two_j, k, i, ip)
+        if want == 0:  # an accidental zero of the symbol: roundoff only
+            assert abs(table[k, i, ip]) <= 1e-15
+            continue
+        smallest.append((k, i, ip, float(want)))
+        if len(smallest) == 15:
+            break
+    rng = np.random.default_rng(two_j)
+    random = []
+    for index in rng.choice(flat, 15, replace=False):
+        k, i, ip = map(int, np.unravel_index(index, table.shape))
+        random.append((k, i, ip, float(_sympy_3j(two_j, k, i, ip))))
+    for k, i, ip, want in smallest + random:
+        assert abs(table[k, i, ip] - want) <= 1e-13 * abs(want), (k, i, ip)
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 7, 20, 36, 40])
+def test_threej_table_normalization_and_zeros(two_j):
+    table = wigner._threej_table(two_j)
+    dim = two_j + 1
+    k = np.arange(dim)
+    weights = (2 * k + 1.0)[:, None, None]
+    assert np.abs((weights * table**2).sum(axis=0) - 1.0).max() <= 1e-14
+    q = np.subtract.outer(np.arange(dim), np.arange(dim))
+    msum = np.add.outer(np.arange(dim), np.arange(dim)) - two_j
+    outside = np.abs(q)[None] > k[:, None, None]
+    odd = (msum == 0)[None] & ((two_j + k) % 2 == 1)[:, None, None]
+    assert np.all(table[outside | odd] == 0.0)
+
+
+def test_threej_table_makes_no_scalar_calls(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar wigner_3j called")
+
+    monkeypatch.setattr(specfun, "wigner_3j", refuse)
+    monkeypatch.setattr(wigner, "wigner_3j", refuse, raising=False)
+    wigner._threej_table.cache_clear()
+    try:
+        assert wigner._threej_table(36).shape == (37, 37, 37)
+    finally:
+        wigner._threej_table.cache_clear()
+
+
+def test_threej_table_peak_memory():
+    # both recursion passes write into the table (1.5 tables measured);
+    # separate forward, backward and mask tables would peak above 6
+    wigner._threej_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = wigner._threej_table(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * table.nbytes
+
+
+def _multipoles_by_trace(rho, two_j):
+    # one np.trace per (k, q): the reference for the gathered einsum
+    dim = two_j + 1
+    table = wigner._threej_table(two_j)
+    signs = np.array([(-1.0) ** (two_j - i) for i in range(dim)])
+    coeffs = np.zeros((dim, 2 * two_j + 1), dtype=complex)
+    for k in range(dim):
+        weighted = signs[:, None] * table[k] * rho
+        for q in range(-k, k + 1):
+            coeffs[k, q + two_j] = math.sqrt(2 * k + 1) * np.trace(weighted, offset=-q)
+    return coeffs
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 4, 11, 36])
+def test_multipoles_match_trace_loop(two_j):
+    rho = _random_density(two_j + 1, two_j)
+    got = wigner._multipoles(rho, two_j)
+    want = _multipoles_by_trace(rho, two_j)
+    assert np.abs(got - want).max() <= 1e-15
+    real = wigner._multipoles(rho.real, two_j)
+    assert np.abs(real - _multipoles_by_trace(rho.real, two_j)).max() <= 1e-15
