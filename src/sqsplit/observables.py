@@ -69,35 +69,23 @@ def _ladder(n):
 
 
 def _apply_component(psi, axis, well, n_left, n_right):
+    if well == "right":
+        # the right well acts on the second index: the left-well body on psi.T
+        return _apply_component(psi.T, axis, "left", n_right, n_left).T
+    n = n_left
+    if axis == "z":
+        m = 2.0 * np.arange(n + 1) - n
+        return m[:, None] * psi
     out = np.zeros_like(psi)
-    if well == "left":
-        n = n_left
-        u = _ladder(n)
-        if axis == "z":
-            m = 2.0 * np.arange(n + 1) - n
-            return m[:, None] * psi
-        if n == 0:
-            return out
-        if axis == "x":
-            out[1:] += u[:, None] * psi[:-1]
-            out[:-1] += u[:, None] * psi[1:]
-        else:  # y
-            out[1:] += -1j * u[:, None] * psi[:-1]
-            out[:-1] += 1j * u[:, None] * psi[1:]
-    else:
-        n = n_right
-        u = _ladder(n)
-        if axis == "z":
-            m = 2.0 * np.arange(n + 1) - n
-            return m[None, :] * psi
-        if n == 0:
-            return out
-        if axis == "x":
-            out[:, 1:] += u[None, :] * psi[:, :-1]
-            out[:, :-1] += u[None, :] * psi[:, 1:]
-        else:  # y
-            out[:, 1:] += -1j * u[None, :] * psi[:, :-1]
-            out[:, :-1] += 1j * u[None, :] * psi[:, 1:]
+    if n == 0:
+        return out
+    u = _ladder(n)[:, None]
+    if axis == "x":
+        out[1:] += u * psi[:-1]
+        out[:-1] += u * psi[1:]
+    else:  # y
+        out[1:] += -1j * u * psi[:-1]
+        out[:-1] += 1j * u * psi[1:]
     return out
 
 

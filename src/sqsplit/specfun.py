@@ -91,7 +91,13 @@ def wigner_3j(j1, j2, j3, m1, m2, m3):
     integer for each column.  Selection-rule violations (m1+m2+m3 != 0,
     triangle condition) return 0.0.  Evaluated from the Racah single-sum
     closed form with all factorials taken in log space and explicit sign
-    bookkeeping, so large j do not overflow.
+    bookkeeping, so large j do not overflow.  The alternating sum still
+    cancels: against sympy's exact values on symbols (j k j; -m q m')
+    the relative error measured 2.3e-11 at 2j = 36, 1.2e-6 at 2j = 80
+    and 2.6e-5 at 2j = 120.  The `wigner` module therefore builds its
+    symbols with the three-term recursion (`wigner._threej_table`,
+    within 4e-14 on the same symbols) and keeps this scalar only as an
+    oracle.
     """
     tj = [_as_two_j(j, f"j{i+1}") for i, j in enumerate((j1, j2, j3))]
     tm = [_as_two_j(m, f"m{i+1}") for i, m in enumerate((m1, m2, m3))]
