@@ -129,22 +129,6 @@ class SweepConfig:
     def time_grid(self):
         return np.linspace(self.t_min, self.t_max, self.steps)
 
-    def echo(self, **extra):
-        # execution details (threads, output path) are left out so runs
-        # with different parallelism stay byte-identical
-        cfg = {
-            "n": self.n,
-            "mode": self.mode,
-            "nl": self.nl,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "steps": self.steps,
-            "epsilon": self.epsilon,
-            "format": self.format,
-        }
-        cfg.update(extra)
-        return cfg
-
 
 def _fmt(x):
     return f"{x:.17g}"
@@ -497,7 +481,12 @@ def _cmd_wigner(args, echo):
         sidecar["k_r"] = args.kr
     if args.out is not None:
         base = args.out[:-4] if args.out.endswith(".csv") else args.out
-        _write_json(base + ".json", sidecar)
+        try:
+            _write_json(base + ".json", sidecar)
+        except UsageError:
+            # a lattice is never left behind without its sidecar
+            os.remove(args.out)
+            raise
     return 0
 
 

@@ -19,9 +19,18 @@ amplitudes a_u b_v exp(2i t uv) are even under (u, v) -> (-u, -v), so
 pairing each Fock state with its mirror splits them into two real
 matrices C (cosines) and S (sines) of about half the side, and
 ||psi||_* = ||C||_* + ||S||_*.  Mirror sectors N_L and N - N_L share
-them up to a transpose, so one SVD call serves both.  The certified
-bracket also trims C and S to the rows and columns that carry their
-weight and widens the upper bound by what the trim can have cost.
+them up to a transpose, so one SVD call serves both.
+
+Every entangler phase is 2t m at an integer m = uv, so one mixture
+fills a single table of cos(2tm) and sin(2tm) and each pair gathers its
+C and S from it, bit for bit the entries a per-entry sin and cos would
+give.  The certified bracket also trims C and S, and the trim does not
+depend on t: since cos^2 + sin^2 = 1, row u of C (+) S has squared norm
+w_u^2 a_u^2 at every t, and column v likewise.  So the kept part is the
+leading block of small |u| and |v|, cut from the weight tails before
+anything is built, and the upper bound widens by sqrt(r d), d the
+dropped mass and r <= 2 min(m, n, dropped rows + dropped columns) the
+rank the dropped part of the m x n matrices C and S can hold.
 """
 
 import math
@@ -85,28 +94,6 @@ def log_negativity_pure(state):
 _TRIM_BUDGET = 1e-30
 
 
-def _trim(psi, budget):
-    """(kept submatrix, slack): the trim of _nuclear_norm_bounds."""
-    slack = 0.0
-    if budget > 0.0:
-        if np.iscomplexobj(psi):
-            abs2 = psi.real**2 + psi.imag**2
-            norms = np.concatenate((abs2.sum(axis=1), abs2.sum(axis=0)))
-        else:
-            norms = np.concatenate(
-                (np.einsum("ij,ij->i", psi, psi), np.einsum("ij,ij->j", psi, psi))
-            )
-        order = np.argsort(norms, kind="stable")
-        n_drop = int(np.searchsorted(np.cumsum(norms[order]), budget, side="right"))
-        if n_drop:
-            m, n = psi.shape
-            keep = np.ones(m + n, dtype=bool)
-            keep[order[:n_drop]] = False
-            slack = math.sqrt(min(m, n, n_drop) * float(np.sum(norms[~keep])))
-            psi = psi[np.ix_(keep[:m], keep[m:])]
-    return psi, slack
-
-
 def _nuclear_norm_bounds(psi, budget):
     """(s, slack) with s <= ||psi||_* <= s + slack.
 
@@ -118,12 +105,59 @@ def _nuclear_norm_bounds(psi, budget):
     and with it the gap, is at most sqrt(r d).  budget = 0 keeps the
     whole matrix and the slack is exactly 0.
     """
-    psi, slack = _trim(psi, budget)
+    slack = 0.0
+    if budget > 0.0:
+        abs2 = psi.real**2 + psi.imag**2
+        norms = np.concatenate((abs2.sum(axis=1), abs2.sum(axis=0)))
+        order = np.argsort(norms, kind="stable")
+        n_drop = int(np.searchsorted(np.cumsum(norms[order]), budget, side="right"))
+        if n_drop:
+            m, n = psi.shape
+            keep = np.ones(m + n, dtype=bool)
+            keep[order[:n_drop]] = False
+            slack = math.sqrt(min(m, n, n_drop) * float(np.sum(norms[~keep])))
+            psi = psi[np.ix_(keep[:m], keep[m:])]
     lam = np.linalg.svd(psi, compute_uv=False)
     return float(np.sum(lam)), slack
 
 
-def _entangler_bounds(n_left, n_right, t, budget, work=None):
+def _phase_table(top, t):
+    """cos and sin of the entangler phases 2t m, m = 0 .. top, as the
+    two rows of one (2, top + 1) array.
+
+    Every phase 2t uv is 2t m at the integer m = uv, and m * (2t) is
+    the float product the entries take, so gathering from the table
+    gives C and S bit for bit with a sin and a cos per distinct m
+    instead of per entry.
+    """
+    table = np.empty((2, top + 1))
+    np.multiply(np.arange(top + 1), 2.0 * t, out=table[0])
+    np.sin(table[0], out=table[1])
+    np.cos(table[0], out=table[0])
+    return table
+
+
+def _leading_axis(n, budget):
+    """(u, wa, mass, dropped) for one well of n atoms.
+
+    u >= 0 are the imbalances 2k - n whose rows (or columns) of C (+) S
+    are kept, wa = w_u a_u their factors, mass the squared weight of
+    all rows and dropped that of the rows cut off.  The row of u has
+    squared norm wa_u^2 at every t, so the cut takes the largest u
+    while their summed wa_u^2 stays <= budget; budget = 0 keeps all.
+    """
+    a = _coherent_half_weights(n)[(n + 1) // 2 :]
+    wa = a * math.sqrt(2.0)
+    if n % 2 == 0:
+        wa[0] = a[0]  # w = 1 at u = 0
+    tail = np.cumsum(np.square(wa[::-1]))
+    n_drop = int(tail.searchsorted(budget, side="right")) if budget > 0.0 else 0
+    keep = wa.size - n_drop
+    u = np.arange(n % 2, n % 2 + 2 * keep, 2)
+    return u, wa[:keep], float(tail[-1]), float(tail[n_drop - 1]) if n_drop else 0.0
+
+
+def _entangler_bounds(n_left, n_right, t, budget, table=None, work=None):
     """(s, slack) bounds on ||psi||_* for effective_evolution(n_left,
     n_right, t), from real matrices C, S with ||psi||_* = ||C||_* +
     ||S||_*, in one SVD call.
@@ -137,41 +171,46 @@ def _entangler_bounds(n_left, n_right, t, budget, work=None):
     sqrt(2) elsewhere) and i S with S[u, v] = 2 a_u b_v sin(2tuv) on
     u, v > 0.  Both are orthogonal changes of basis, so C (+) S has the
     singular values of psi.  S keeps the zero u = 0 row and v = 0
-    column.  C, S and their trims are written into work, a float64
-    buffer of >= 4 (N_L // 2 + 1)(N_R // 2 + 1) entries that callers
-    reuse, so large temporaries are not mapped afresh on every call.
+    column.  The entries are gathered from table, _phase_table(top, t)
+    for a top >= the largest kept uv (built here when None), into work,
+    a float64 buffer of >= 2 entries per kept (u, v) that callers reuse.
+
+    The trim does not depend on t.  Since cos^2 + sin^2 = 1 and
+    sum_v w_v^2 b_v^2 = 1, row u of C (+) S has squared norm
+    w_u^2 a_u^2 and column v has w_v^2 b_v^2, so the certified trim is
+    the leading block u <= U, v <= V, with U and V cut from the weight
+    tails at budget / 2 each (_leading_axis).  The kept block's nuclear
+    norm s is a lower bound, as for any compression.  The dropped part
+    has squared Frobenius norm <= d, the dropped row plus column mass
+    (each times the other axis's total, 1 up to the weights' drift),
+    and its C and S parts each rank <= min(m, n, dropped rows + dropped
+    columns) for m x n matrices C and S, so r <= 2 min(m, n, dropped)
+    and its nuclear norm, the gap, is at most sqrt(r d).
     """
-    shape = (2, n_left // 2 + 1, n_right // 2 + 1)
-    size = 2 * shape[1] * shape[2]
-    if work is None:
-        work = np.empty(2 * size)
-    a = _coherent_half_weights(n_left)[(n_left + 1) // 2 :]
-    b = _coherent_half_weights(n_right)[(n_right + 1) // 2 :]
-    u = np.arange(n_left % 2, n_left + 1, 2, dtype=float)
-    v = np.arange(n_right % 2, n_right + 1, 2, dtype=float)
-    parts = work[:size].reshape(shape)
-    c, s = parts
-    np.multiply.outer(u, v, out=c)
-    c *= 2.0 * t
-    np.sin(c, out=s)
-    np.cos(c, out=c)
+    u, wa, mass_u, drop_u = _leading_axis(n_left, budget / 2.0)
+    v, wb, mass_v, drop_v = _leading_axis(n_right, budget / 2.0)
+    index = np.multiply.outer(u, v)
+    if table is None:
+        table = _phase_table(int(index[-1, -1]), t)
+    elif index[-1, -1] >= table.shape[1]:
+        raise ValueError("phase table is shorter than the largest kept uv")
+    shape = (2, u.size, v.size)
+    parts = np.empty(shape) if work is None else work[: 2 * index.size].reshape(shape)
+    # every index is in range, so take may skip its buffered bounds check
+    np.take(table, index, axis=1, out=parts, mode="clip")
     # w_u w_v = 2 wherever sin(2tuv) can be nonzero
-    parts *= (np.where(u > 0.0, math.sqrt(2.0), 1.0) * a)[:, None]
-    parts *= np.where(v > 0.0, math.sqrt(2.0), 1.0) * b
+    parts *= wa[:, None]
+    parts *= wb
     norm = float(np.einsum("kij,kij->", parts, parts))
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ValueError(f"conditional state is not normalized (norm^2 = {norm})")
-    slack = 0.0
-    if budget > 0.0:
-        c, slack_c = _trim(c, budget)
-        s, slack_s = _trim(s, budget)
-        slack = slack_c + slack_s
-        # zero padding only adds zero singular values
-        m, n = max(c.shape[0], s.shape[0]), max(c.shape[1], s.shape[1])
-        parts = work[size : size + 2 * m * n].reshape(2, m, n)
-        parts.fill(0.0)
-        parts[0, : c.shape[0], : c.shape[1]] = c
-        parts[1, : s.shape[0], : s.shape[1]] = s
+    kept = (mass_u - drop_u) * (mass_v - drop_v)
+    full = mass_u * mass_v
+    if not (abs(norm - kept) <= 1e-9 and abs(full - 1.0) <= 1e-9):
+        raise ValueError(
+            f"conditional state is not normalized (norm^2 = {norm + full - kept})"
+        )
+    m, n = n_left // 2 + 1, n_right // 2 + 1
+    dropped = m - u.size + n - v.size
+    slack = math.sqrt(2 * min(m, n, dropped) * (drop_u * mass_v + drop_v * mass_u))
     lam = np.linalg.svd(parts, compute_uv=False)
     return float(np.sum(lam)), slack
 
@@ -182,25 +221,28 @@ def _block_trace_norms(mixture, budget=0.0):
     The block's trace-norm term in ||rho^{T_L}||_1 is weight ||psi||_*^2.
     A mixture that records its twisting time is never built: each
     mirror pair min(N_L, N_R) is bounded once from its real entangler
-    parts C and S, and each block keeps its own weight.  A mixture
-    assembled from arbitrary blocks is decomposed block by block.
+    parts C and S, gathered from one phase table sized to the largest
+    kept uv, and each block keeps its own weight.  A mixture assembled
+    from arbitrary blocks is decomposed block by block.
     """
     if mixture.t is None:
         return [(w, *_nuclear_norm_bounds(b.psi, budget)) for w, b in mixture.blocks]
     n = mixture.n_total
-    work = np.empty(4 * _largest_svd_input(mixture))
-    done = {}
-    terms = []
-    for weight, n_left in mixture.sectors:
-        low = min(n_left, n - n_left)
-        if low not in done:
-            done[low] = _entangler_bounds(low, n - low, mixture.t, budget, work)
-        terms.append((weight, *done[low]))
-    return terms
+    lows = {min(n_left, n - n_left) for _, n_left in mixture.sectors}
+    # the kept extents, which depend on the weights alone, size the table
+    kept = [
+        (_leading_axis(low, budget / 2.0)[0], _leading_axis(n - low, budget / 2.0)[0])
+        for low in lows
+    ]
+    table = _phase_table(max(int(u[-1] * v[-1]) for u, v in kept), mixture.t)
+    work = np.empty(2 * max(u.size * v.size for u, v in kept))
+    done = {low: _entangler_bounds(low, n - low, mixture.t, budget, table, work) for low in lows}
+    return [(weight, *done[min(n_left, n - n_left)]) for weight, n_left in mixture.sectors]
 
 
 def _largest_svd_input(mixture):
-    """Largest entry count m n of a matrix _block_trace_norms decomposes."""
+    """Largest entry count m n of a matrix _block_trace_norms decomposes,
+    before any trim."""
     if mixture.t is None:
         return max((b.psi.size for _, b in mixture.blocks), default=0)
     n = mixture.n_total
@@ -216,11 +258,9 @@ def _absent_sectors(mixture):
     untruncated probability C(N, n_left)/2^N."""
     n = mixture.n_total
     present = {n_left for _, n_left in mixture.sectors}
-    return [
-        (math.exp(log_binomial(n, l) - n * math.log(2.0)), l)
-        for l in range(n + 1)
-        if l not in present
-    ]
+    absent = [l for l in range(n + 1) if l not in present]
+    logs = log_binomial(n, np.array(absent, dtype=np.int64)) - n * math.log(2.0)
+    return [(math.exp(x), l) for x, l in zip(logs.tolist(), absent)]
 
 
 def log_negativity_mixed(mixture):
@@ -249,19 +289,27 @@ def log_negativity_bracket(mixture):
 
     Missing sectors contribute a trace-norm factor between 1 (product)
     and min(N_L, N_R) + 1 (maximally entangled), weighted by their
-    untruncated probabilities.  Present blocks are trimmed to the Fock
-    rows and columns outside a dropped squared norm d <= 1e-30 before
-    their SVD: the kept submatrix's nuclear norm s bounds the block's
-    from below and s + sqrt(r d) from above, r the rank the dropped
-    rows and columns can hold, so the lower sum takes p s^2 and the
-    upper p (s + sqrt(r d))^2.  Mirror blocks share one decomposition.
+    untruncated probabilities.  Present blocks are trimmed before their
+    SVD, dropping a squared norm d <= 1e-30: the kept submatrix's
+    nuclear norm s bounds the block's from below and s + sqrt(r d) from
+    above, r the rank the dropped rows and columns can hold, so the
+    lower sum takes p s^2 and the upper p (s + sqrt(r d))^2.  Mirror
+    blocks share one decomposition.  For a mixture that records t the
+    trim keeps the leading block |u| <= U, |v| <= V of the entangler
+    parts C and S, U and V read off the weight tails alone (row u of
+    C (+) S has squared norm w_u^2 a_u^2 at every t), with
+    r <= 2 min(m, n, dropped rows + dropped columns) for m x n parts;
+    the entries of the kept block come from one table of cos(2tm) and
+    sin(2tm) per mixture, m = uv.  Blocks of a mixture assembled from
+    arbitrary blocks drop their smallest rows and columns, with r <=
+    min(m, n, dropped rows + dropped columns).
 
     Both sums are then widened by the relative roundoff margin
     (K + 4 M) eps, K the number of terms and M the largest m n of a
-    decomposed matrix: LAPACK's backward error moves each of the
-    r = min(m, n) singular values by <= max(m, n) eps sigma_1, so s by
-    <= (m n + r) eps s and s^2 by <= 4 m n eps s^2.  At N = 500 that is
-    1.4e-11.  Rounding in the entries (weights, phases) is not covered.
+    matrix to decompose, before its trim: LAPACK's backward error moves
+    each of the r = min(m, n) singular values by <= max(m, n) eps
+    sigma_1, so s by <= (m n + r) eps s and s^2 by <= 4 m n eps s^2.
+    At N = 500 that is 1.4e-11.  Rounding in the entries (weights, phases) is not covered.
     """
     n = mixture.n_total
     terms = _block_trace_norms(mixture, _TRIM_BUDGET)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqsplit import statekit
+from sqsplit import entangle, statekit
 from sqsplit.entangle import (
     _TRIM_BUDGET,
     SchmidtSpectrum,
+    _absent_sectors,
     _block_trace_norms,
     _entangler_bounds,
     _nuclear_norm_bounds,
@@ -18,9 +19,11 @@ from sqsplit.entangle import (
     log_negativity_pure,
     schmidt,
 )
+from sqsplit.specfun import log_binomial
 from sqsplit.statekit import (
     ConditionalState,
     SplitMixedState,
+    _coherent_half_weights,
     effective_evolution,
     mixed_split_state,
     one_axis_twist,
@@ -400,3 +403,111 @@ def test_mixed_negativity_counts_dropped_sectors_as_product():
     assert 1.0 - mixture.retained_mass > 1e-13
     exact = log_negativity_mixed(mixed_split_state(100, 0.0, window=0.0))
     assert abs(log_negativity_mixed(mixture) - exact) < 1e-15
+
+
+def _entangler_factors(n):
+    """(u, w_u a_u) over u = 2k - n >= 0, w = 1 at u = 0, sqrt(2) elsewhere."""
+    u = np.arange(n % 2, n + 1, 2)
+    a = _coherent_half_weights(n)[(n + 1) // 2 :]
+    return u, np.where(u > 0, math.sqrt(2.0), 1.0) * a
+
+
+def _entangler_parts_per_entry(n_left, n_right, t):
+    """C and S stacked, each entry's cos and sin evaluated on its own
+    from float(u v) (2t), the construction the phase table replaces."""
+    u, wa = _entangler_factors(n_left)
+    v, wb = _entangler_factors(n_right)
+    x = np.multiply.outer(u, v).astype(float) * (2.0 * t)
+    parts = np.stack((np.cos(x), np.sin(x)))
+    parts *= wa[:, None]
+    parts *= wb
+    return parts
+
+
+def _svd_inputs(monkeypatch):
+    """Copies of every matrix stack np.linalg.svd is called on."""
+    seen = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "n_left, n_right", [(0, 0), (1, 1), (7, 8), (249, 251), (250, 250), (400, 400)]
+)
+@pytest.mark.parametrize("t", [0.0, 1e-4, 0.0037, 0.3, 1.1, math.pi / 4])
+def test_phase_table_gathers_the_per_entry_parts(monkeypatch, n_left, n_right, t):
+    direct = _entangler_parts_per_entry(n_left, n_right, t)
+    seen = _svd_inputs(monkeypatch)
+    s, slack = _entangler_bounds(n_left, n_right, t, 0.0)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], direct)
+    assert slack == 0.0
+    assert s == float(np.sum(np.linalg.svd(direct, compute_uv=False)))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.0037, 0.3, 1.1])
+def test_entangler_row_and_column_norms_are_the_weights(monkeypatch, t):
+    # the identity the t-free trim rests on: cos^2 + sin^2 = 1 leaves
+    # row u with w_u^2 a_u^2 times the column mass sum_v w_v^2 b_v^2,
+    # and column v likewise; the masses are 1 up to the drift of the
+    # binomial weights (1.5e-13 at n = 131), so they are kept here
+    seen = _svd_inputs(monkeypatch)
+    for n_left, n_right in ((7, 8), (120, 131), (250, 250)):
+        _entangler_bounds(n_left, n_right, t, 0.0)
+        sq = seen.pop() ** 2
+        wa2 = _entangler_factors(n_left)[1] ** 2
+        wb2 = _entangler_factors(n_right)[1] ** 2
+        assert abs(wa2.sum() - 1.0) <= 1e-9 and abs(wb2.sum() - 1.0) <= 1e-9
+        assert np.abs(sq.sum(axis=(0, 2)) - wa2 * wb2.sum()).max() <= 1e-15
+        assert np.abs(sq.sum(axis=(0, 1)) - wb2 * wa2.sum()).max() <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_left=st.integers(0, 300),
+    n_right=st.integers(0, 300),
+    t=st.floats(0.0, math.pi / 4),
+    budget=st.sampled_from([1e-30, 1e-12, 1e-4]),
+)
+def test_leading_trim_certifies_the_untrimmed_norm(n_left, n_right, t, budget):
+    full, _ = _entangler_bounds(n_left, n_right, t, 0.0)
+    s, slack = _entangler_bounds(n_left, n_right, t, budget)
+    assert s <= full * (1.0 + 1e-13)
+    assert full <= (s + slack) * (1.0 + 1e-13)
+
+
+def test_one_phase_table_per_mixture_sized_to_the_kept_block(monkeypatch):
+    tops = []
+    real_table = entangle._phase_table
+
+    def recording_table(top, t):
+        tops.append(top)
+        return real_table(top, t)
+
+    monkeypatch.setattr(entangle, "_phase_table", recording_table)
+    log_negativity_bracket(mixed_split_state(500, 0.0037))
+    assert len(tops) == 1
+    assert tops[0] < 180 * 180  # 175^2 kept of the untrimmed 250^2
+    log_negativity_mixed(mixed_split_state(500, 0.0037, window=0.0))
+    assert tops[1:] == [250 * 250]
+
+
+@pytest.mark.parametrize(
+    "n, window", [(0, 0.0), (9, 1e-2), (100, 1e-12), (500, 1e-12), (800, 1e-6)]
+)
+def test_absent_sectors_match_the_scalar_loop(n, window):
+    mixture = mixed_split_state(n, 0.01, window=window)
+    present = {l for _, l in mixture.sectors}
+    expected = [
+        (math.exp(log_binomial(n, l) - n * math.log(2.0)), l)
+        for l in range(n + 1)
+        if l not in present
+    ]
+    assert (len(expected) > 0) == (window > 0.0)
+    assert _absent_sectors(mixture) == expected
