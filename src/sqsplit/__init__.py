@@ -47,6 +47,7 @@ from .statekit import (
     project_left_number,
     spin_coherent,
     split,
+    twisted_split,
 )
 from .wigner import (
     WignerGrid,
@@ -84,6 +85,7 @@ __all__ = [
     "spin_coherent",
     "one_axis_twist",
     "split",
+    "twisted_split",
     "project_left_number",
     "effective_evolution",
     "mixed_split_state",

@@ -9,8 +9,9 @@ O(N^2) and exact.  First and second moments of the six components
 (S_L^x, S_L^y, S_L^z, S_R^x, S_R^y, S_R^z) are collected into a
 MomentSet: the symmetrized covariance matrix V and the commutator
 matrix Omega that the entanglement witnesses consume.  The moments of
-a beam-split state follow in O(N) from those of the single ensemble
-that entered the splitter.
+a beam-split state follow from those of the single ensemble that
+entered the splitter: in O(N) from its amplitudes, or in O(1) from the
+closed forms of the one-axis-twisted coherent state.
 """
 
 import math
@@ -35,6 +36,9 @@ __all__ = [
 
 _COMPONENTS = ("x", "y", "z")
 _WELLS = ("left", "right")
+# [[I, -I], [-I, I]]: the vacuum port's share of V, in units of N/4
+_PORT = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.eye(3))
+_PORT.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,9 @@ def _finalize(raw, means, n_total):
     return MomentSet(n_total, means, v, omega)
 
 
-def _split_moments(full):
-    """MomentSet of a beam-split state from its source amplitudes, O(N).
+def _vacuum_port(n, m, c):
+    """MomentSet of a beam-split state from the single ensemble that
+    entered the splitter.
 
     With vacuum in the unused port the splitter maps a_L, a_R to
     (a + v)/sqrt(2), (a - v)/sqrt(2) (likewise for b), and every term
@@ -163,6 +168,17 @@ def _split_moments(full):
         V_LL = V_RR = (C + N I) / 4,  V_LR = V_RL = (C - N I) / 4,
         Omega_LL = Omega_RR = eps_ijk m_k,  Omega_LR = 0.
     """
+    omega = np.zeros((6, 6))
+    omega[:3, :3] = omega[3:, 3:] = [
+        [0.0, m[2], -m[1]], [-m[2], 0.0, m[0]], [m[1], -m[0], 0.0]
+    ]
+    return MomentSet(
+        n, np.tile(0.5 * m, 2), np.tile(0.25 * c, (2, 2)) + (0.25 * n) * _PORT, omega
+    )
+
+
+def _split_moments(full):
+    """MomentSet of a beam-split state from its source amplitudes, O(N)."""
     source = full.source
     n = source.n_total
     a = source.amplitudes[:, None]
@@ -172,18 +188,59 @@ def _split_moments(full):
     # N^2 and leaves E_CM(t = 0) at -7e-10 instead of -7e-13 at N = 500
     centred = np.stack([(img - mi * a).ravel() for img, mi in zip(images, m)])
     c = (centred.conj() @ centred.T).real
-    c = 0.5 * (c + c.T)
-    local = 0.25 * (c + n * np.eye(3))
-    cross = 0.25 * (c - n * np.eye(3))
-    omega3 = np.array(
-        [[0.0, m[2], -m[1]], [-m[2], 0.0, m[0]], [m[1], -m[0], 0.0]]
-    )
-    zero = np.zeros((3, 3))
-    return MomentSet(
-        n,
-        np.concatenate([0.5 * m, 0.5 * m]),
-        np.block([[local, cross], [cross, local]]),
-        np.block([[omega3, zero], [zero, omega3]]),
+    return _vacuum_port(n, m, 0.5 * (c + c.T))
+
+
+def _cos_power(k, s, c):
+    """cos^k of the angle whose sine is s and cosine is c, k >= 0.
+
+    Where |cos| >= |sin| the power is exp(k/2 log1p(-s^2)), whose
+    exponent carries no error of size k ulp(cos); elsewhere cos^k is
+    small and taken directly.
+    """
+    if k == 0:
+        return 1.0
+    if s * s <= 0.5:
+        power = math.exp(0.5 * k * math.log1p(-s * s))
+        return -power if c < 0.0 and k % 2 else power
+    return c**k
+
+
+def _cos_power_m1(k, s, c):
+    """cos^k - 1 without cancellation, k >= 0: expm1 where cos^k is
+    near +1, the plain difference where it is not."""
+    if s * s <= 0.5 and (c > 0.0 or k % 2 == 0):
+        return math.expm1(0.5 * k * math.log1p(-s * s))
+    return _cos_power(k, s, c) - 1.0
+
+
+def _twist_moments(n, t):
+    """<S> and the symmetrized covariance C of the twisted coherent state.
+
+    For the x-polarized coherent state of N atoms after
+    exp(i (S^z)^2 t) (Kitagawa & Ueda, PRA 47, 5138 (1993), in the
+    S = 2J convention) <S^y> = <S^z> = 0, <S^x> = N cos^(N-1)(4t), and
+        C_zz = N,
+        C_yy = N - N(N-1)/2 (cos^(N-2)(8t) - 1),
+        C_yz = -N(N-1) sin(4t) cos^(N-2)(4t),
+        C_xx = N(N-1)/2 (cos^(N-2)(8t) - 1) - N^2 (cos^(2N-2)(4t) - 1),
+    with C_xy = C_xz = 0 (the state is even under a pi rotation about
+    x).  Both "- 1" terms are formed by _cos_power_m1, so C is within a
+    few ulp of its largest entry at any N.
+    """
+    s4, c4 = math.sin(4.0 * t), math.cos(4.0 * t)
+    # below N = 2 the factors N(N-1) vanish; a clamped exponent keeps
+    # the power they multiply finite
+    k = max(n - 2, 0)
+    pair = 0.5 * n * (n - 1)
+    # the + 0.0 turns the -0.0 of t = 0 into 0.0
+    a = pair * _cos_power_m1(k, math.sin(8.0 * t), math.cos(8.0 * t)) + 0.0
+    b = n * n * _cos_power_m1(2 * max(n - 1, 0), s4, c4) + 0.0
+    mean_x = n * _cos_power(max(n - 1, 0), s4, c4)
+    cyz = -2.0 * pair * s4 * _cos_power(k, s4, c4) + 0.0
+    return (
+        np.array([mean_x, 0.0, 0.0]),
+        np.array([[a - b, 0.0, 0.0], [0.0, n - a, cyz], [0.0, cyz, n]]),
     )
 
 
@@ -193,12 +250,16 @@ def moments(state, theta=None):
     With theta given, the returned moments are expressed on the rotated
     axes (x, y', z') of both wells.
 
-    A SplitFullState (what split() returns) is handled in O(N) from the
-    amplitudes of the ensemble that entered the splitter.  Every one of
-    the six components conserves the left atom number, so these are
-    also exactly the moments of the number-collapsed mixture over all
-    left-well sectors: mixed_split_state(n, t, window=0) has the moments
-    of split(one_axis_twist(spin_coherent(...), t)).
+    A SplitFullState is read from the ensemble that entered the
+    splitter.  For twisted_split(n, t) that ensemble is the twisted
+    coherent state, whose moments are closed forms (Kitagawa & Ueda,
+    PRA 47, 5138 (1993)): O(1) at any N, no amplitude is built.  For
+    split(state) of any StateVector the moments take O(N) from its
+    amplitudes.  Every one of the six components conserves the left
+    atom number, so these are also exactly the moments of the
+    number-collapsed mixture over all left-well sectors:
+    mixed_split_state(n, t, window=0) has the moments of
+    twisted_split(n, t).
 
     A SplitMixedState is summed sector by sector in O(N^2 sqrt N);
     moments are normalized by the retained sector mass.
@@ -207,7 +268,10 @@ def moments(state, theta=None):
         raw, means = _gram(state)
         ms = _finalize(raw, means, state.n_total)
     elif isinstance(state, SplitFullState):
-        ms = _split_moments(state)
+        if state.t is None:
+            ms = _split_moments(state)
+        else:
+            ms = _vacuum_port(state.n_total, *_twist_moments(state.n_total, state.t))
     elif isinstance(state, SplitMixedState):
         agg_raw = np.zeros((6, 6), dtype=complex)
         agg_means = np.zeros(6)
@@ -229,14 +293,64 @@ def moments(state, theta=None):
     return ms
 
 
+def _rotate_matrix(m, c, s):
+    """R m R^T, R turning (y, z) of both wells by theta (c, s its cosine
+    and sine).
+
+    Each 2x2 (y, z) block [[p, q], [r, u]] between two wells is turned
+    as a correction to itself: p' = p - s (s (p-u) + c (q+r)) and so on
+    where s^2 <= c^2, and from the swapped block, p' = u + c (c (p-u) -
+    s (q+r)), where s^2 > c^2.  An isotropic block (p = u, q = r = 0)
+    and an antisymmetric one therefore come back bit for bit, which
+    r @ m @ r.T does not do (c^2 + s^2 = 1 holds only to an ulp), and the
+    small term (s^2 p, or c^2 p) is still formed directly, so a squeezed
+    variance keeps its digits.  The double-angle form (p+u)/2 + (p-u)/2
+    cos 2theta - ... keeps isotropy too, but forms the squeezed variance
+    of an N = 500 state as the difference of two terms of size p/2 and
+    is 3.5e-13 off, against 2e-15 for r @ m @ r.T.  Plain floats: on a
+    6x6 matrix they are several times faster than small numpy slices.
+    """
+    a = m.tolist()
+    out = [row[:] for row in a]
+    # x rows and columns turn as vectors
+    for x in (0, 3):
+        for y in (1, 4):
+            z = y + 1
+            out[x][y] = c * a[x][y] - s * a[x][z]
+            out[x][z] = s * a[x][y] + c * a[x][z]
+            out[y][x] = c * a[y][x] - s * a[z][x]
+            out[z][x] = s * a[y][x] + c * a[z][x]
+    for yi in (1, 4):
+        zi = yi + 1
+        for yj in (1, 4):
+            zj = yj + 1
+            p, q, r, u = a[yi][yj], a[yi][zj], a[zi][yj], a[zi][zj]
+            diff, both = p - u, q + r
+            if s * s <= c * c:
+                down, side = s * (s * diff + c * both), s * (c * diff - s * both)
+                out[yi][yj], out[zi][zj] = p - down, u + down
+                out[yi][zj], out[zi][yj] = q + side, r + side
+            else:
+                down, side = c * (c * diff - s * both), c * (s * diff + c * both)
+                out[yi][yj], out[zi][zj] = u + down, p - down
+                out[yi][zj], out[zi][yj] = side - r, side - q
+    return np.array(out)
+
+
 def rotate_moments(ms, theta):
-    """Express a MomentSet on the rotated axes (x, y', z') of both wells."""
+    """Express a MomentSet on the rotated axes (x, y', z') of both wells,
+    y' = y cos(theta) - z sin(theta), z' = y sin(theta) + z cos(theta)."""
     c, s = math.cos(theta), math.sin(theta)
-    r3 = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    r = np.zeros((6, 6))
-    r[:3, :3] = r3
-    r[3:, 3:] = r3
-    return MomentSet(ms.n_total, r @ ms.means, r @ ms.V @ r.T, r @ ms.Omega @ r.T)
+    means = ms.means.tolist()
+    for y in (1, 4):
+        my, mz = means[y], means[y + 1]
+        means[y], means[y + 1] = c * my - s * mz, s * my + c * mz
+    return MomentSet(
+        ms.n_total,
+        np.array(means),
+        _rotate_matrix(ms.V, c, s),
+        _rotate_matrix(ms.Omega, c, s),
+    )
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,14 @@ __all__ = [
     "spin_coherent",
     "one_axis_twist",
     "split",
+    "twisted_split",
     "project_left_number",
     "effective_evolution",
     "mixed_split_state",
 ]
 
 _LN2 = math.log(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class ZeroProbabilityError(ValueError):
@@ -159,19 +161,33 @@ class SplitFullState:
 
     Sector matrices are materialized one at a time (O(N^2) memory per
     call); nothing quadratic in the number of sectors is ever stored.
+
+    split() records the StateVector that entered the splitter, and t is
+    None.  twisted_split(n, t) records only n and the twisting time t of
+    the x-polarized coherent state and builds its source amplitudes on
+    first access, so a consumer that needs only (n, t) never pays for
+    (or, at very large n, fails on) the amplitude vector.
     """
 
     def __init__(self, source):
-        self._source = source
+        self.source = source
+        self.n_total = source.n_total
+        self.t = None
 
-    @property
+    @classmethod
+    def _twisted(cls, n_total, t):
+        full = cls.__new__(cls)
+        full.n_total = n_total
+        full.t = t
+        return full
+
+    @cached_property
     def source(self):
         """The StateVector that entered the beam splitter."""
-        return self._source
-
-    @property
-    def n_total(self):
-        return self._source.n_total
+        # only reached for a recorded-t split; __init__ sets source on
+        # the instance
+        coherent = spin_coherent(_INV_SQRT2, _INV_SQRT2, self.n_total)
+        return one_axis_twist(coherent, self.t)
 
     def sector(self, n_left):
         """Unnormalized amplitude matrix of the n_left sector.
@@ -191,7 +207,7 @@ class SplitFullState:
         logw = 0.5 * (
             log_binomial(k, k_l) + log_binomial(n - k, n_left - k_l)
         ) - 0.5 * n * _LN2
-        return np.exp(logw) * self._source.amplitudes[k]
+        return np.exp(logw) * self.source.amplitudes[k]
 
     def sector_mass(self, n_left):
         a = self.sector(n_left)
@@ -243,6 +259,20 @@ def one_axis_twist(state, t):
 def split(state):
     """Send the ensemble through a 50/50 beam splitter into two wells."""
     return SplitFullState(state)
+
+
+def twisted_split(n, t):
+    """split(one_axis_twist(spin_coherent(1/sqrt(2), 1/sqrt(2), n), t)),
+    recorded as (n, t).
+
+    moments() reads this state in closed form, O(1) at any n; sector()
+    and project_left_number build the source amplitudes on first use.
+    """
+    if n < 0:
+        raise ValueError("atom number must be nonnegative")
+    if not math.isfinite(t):
+        raise ValueError("twisting time must be finite")
+    return SplitFullState._twisted(int(n), float(t))
 
 
 def project_left_number(full, n_left):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import astuple
 
@@ -23,7 +24,7 @@ from sqsplit.cli import (
 )
 from sqsplit.entangle import log_negativity_bracket, log_negativity_pure
 from sqsplit.observables import moments
-from sqsplit.statekit import effective_evolution, mixed_split_state
+from sqsplit.statekit import effective_evolution, mixed_split_state, twisted_split
 from sqsplit.wigner import (
     conditional_wigner_closed,
     display_lattice,
@@ -273,6 +274,50 @@ def test_criteria_row_matches_sector_mixture_n500(t):
         assert abs(got - ref) <= tol * max(1.0, abs(ref)), (name, got, ref)
     if t == 0.0:
         assert abs(row[CRITERIA_COLUMNS.index("E_CM")]) <= 1.3e-10
+
+
+def test_criteria_n500_t0_row_is_exactly_the_product():
+    # closed-form moments of the coherent product and a rotation that
+    # keeps its isotropic (y, z) blocks exact: every witness sits on its
+    # boundary bit for bit, and the tie rule gives gains 0
+    code, out, err = run_cli(["criteria", "--n", "500"])
+    assert code == 0, err
+    assert out.splitlines()[2] == "0,1,0,1,1,1,1,0,0,0.78539816339744828"
+    assert not witness_suite(moments(twisted_split(500, 0.0)), 0.0).entangled
+
+
+def test_criteria_at_n100000_runs_in_a_second():
+    # mixed mode builds no amplitude vector, so N costs nothing
+    start = time.perf_counter()
+    code, out, err = run_cli(["criteria", "--n", "100000", "--steps", "5", "--t-max", "0.002"])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    _, columns, rows = parse_csv(out)
+    assert len(rows) == 5 and all(len(row) == len(columns) for row in rows)
+    assert all(math.isfinite(x) for row in rows for x in row)
+    assert elapsed < 1.0
+
+
+def test_criteria_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # fresh processes, since BLAS reads its thread count at load time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sqsplit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=path)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqsplit.cli", "criteria", "--n", "20000", "--steps", "5",
+             "--t-max", "0.002", "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_criteria_gain_refinement_converges_at_large_eg():
@@ -653,6 +698,7 @@ def test_verify_passes_and_reports():
     lines = out.splitlines()
     assert "PASS" in lines[-1]
     assert "sector" in out
+    assert "split-moment" in out
 
 
 def test_verify_negative_control():
@@ -660,6 +706,22 @@ def test_verify_negative_control():
     code, out, _ = run_cli(["verify", "--n", "6", "--inject-phase-error", "0.01"])
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_fails_on_a_closed_form_sign_flip(monkeypatch):
+    # the closed-form split moments are checked against the O(N) route
+    real = sqsplit.observables._twist_moments
+
+    def flipped(n, t):
+        m, c = real(n, t)
+        c[1, 2] = c[2, 1] = -c[1, 2]
+        return m, c
+
+    monkeypatch.setattr(sqsplit.observables, "_twist_moments", flipped)
+    code, out, _ = run_cli(["verify", "--n", "6"])
+    assert code == 3
+    assert "FAIL" in out
+    assert not run_equivalence_suite(max_n=4).passed
 
 
 def test_verify_size_cap():
@@ -674,6 +736,8 @@ def test_equivalence_report_counts():
     assert report.checks == 4 * sum(n + 1 for n in range(1, 5))
     assert report.passed
     assert report.worst_residual <= 1e-12
+    assert report.moment_error <= 1e-12
+    assert report.sector_law_error <= 1e-12
 
 
 # ----------------------------------------------------- library surface

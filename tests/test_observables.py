@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sqsplit.observables import (
     DensityMatrix,
+    MomentSet,
     SpinLabel,
     apply_spin,
     moments,
@@ -26,6 +27,7 @@ from sqsplit.statekit import (
     project_left_number,
     spin_coherent,
     split,
+    twisted_split,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -221,6 +223,72 @@ def test_split_moments_of_random_states_match_projected_sectors():
             _assert_moments_agree(moments(full), moments(SplitMixedState(n, blocks)))
 
 
+def _max_moment_gap(got, want):
+    return max(
+        float(np.abs(a - b).max())
+        for a, b in ((got.means, want.means), (got.V, want.V), (got.Omega, want.Omega))
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 60), t=st.floats(0.0, math.pi / 4))
+def test_twisted_split_closed_form_matches_split_amplitudes(n, t):
+    # the O(N) route through the source amplitudes is the oracle of the
+    # closed-form moments
+    got = moments(twisted_split(n, t))
+    want = moments(split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t)))
+    assert got.n_total == want.n_total == n
+    assert _max_moment_gap(got, want) <= 1e-12 * float(np.abs(want.V).max())
+
+
+def _mp_twisted_split_moments(n, t):
+    """Means, V and Omega of twisted_split(n, t) from the Kitagawa-Ueda
+    moments and the vacuum-port map, in 40-digit arithmetic at the
+    float t itself."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        s4, c4, c8 = mpmath.sin(4 * t), mpmath.cos(4 * t), mpmath.cos(8 * t)
+        pair = mpmath.mpf(n) * (n - 1) / 2
+        a = pair * (c8 ** (n - 2) - 1)
+        c = mpmath.zeros(3, 3)
+        c[0, 0] = a - mpmath.mpf(n) ** 2 * (c4 ** (2 * n - 2) - 1)
+        c[1, 1] = n - a
+        c[1, 2] = c[2, 1] = -2 * pair * s4 * c4 ** (n - 2)
+        c[2, 2] = n
+        mean_x = n * c4 ** (n - 1)
+        v = np.zeros((6, 6))
+        for i in range(3):
+            for j in range(3):
+                eye = n if i == j else 0
+                v[i, j] = v[i + 3, j + 3] = float((c[i, j] + eye) / 4)
+                v[i, j + 3] = v[i + 3, j] = float((c[i, j] - eye) / 4)
+        half = float(mean_x / 2)
+        omega3 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, float(mean_x)], [0.0, -float(mean_x), 0.0]])
+    omega = np.zeros((6, 6))
+    omega[:3, :3] = omega[3:, 3:] = omega3
+    return MomentSet(n, np.array([half, 0.0, 0.0, half, 0.0, 0.0]), v, omega)
+
+
+@pytest.mark.parametrize("n", [500, 2000, 10**4])
+@pytest.mark.parametrize("t", [0.0, 1e-4, 1e-3, 0.0123, 0.3])
+def test_twisted_split_closed_form_against_40_digit_reference(n, t):
+    # a plain cos(4t)**(n - 1) form is 4.8e-12 (N = 500) to 2.2e-10
+    # (N = 1e4) off; the log1p/expm1 form is within a few ulp
+    want = _mp_twisted_split_moments(n, t)
+    got = moments(twisted_split(n, t))
+    assert _max_moment_gap(got, want) <= 1e-14 * float(np.abs(want.V).max())
+
+
+def test_twisted_split_zero_time_is_the_exact_coherent_product():
+    ms = moments(twisted_split(500, 0.0))
+    local = np.diag([125.0, 250.0, 250.0])
+    cross = np.diag([-125.0, 0.0, 0.0])
+    assert np.array_equal(ms.V, np.block([[local, cross], [cross, local]]))
+    assert np.array_equal(ms.means, [250.0, 0.0, 0.0, 250.0, 0.0, 0.0])
+
+
 def test_quadrature_pair_variance_polynomial():
     """Short-time growth of the squeezed quadrature pair at N = 500.
 
@@ -251,6 +319,38 @@ def test_rotate_moments_congruence():
     mean = np.vdot(state.psi, zp).real
     assert abs(rot.V[2, 2] - (raw - mean * mean)) < 1e-10
     assert abs(rot.means[2] - mean) < 1e-12
+
+
+def _random_moment_set(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(6, 6))
+    return MomentSet(6, rng.normal(size=6), a + a.T, a - a.T)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 0.83, 1.4, -0.6, 2.9])
+def test_rotate_moments_is_the_congruence_r_m_rt(theta):
+    ms = _random_moment_set(11)
+    c, s = math.cos(theta), math.sin(theta)
+    r3 = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    r = np.kron(np.eye(2), r3)
+    rot = rotate_moments(ms, theta)
+    assert np.abs(rot.means - r @ ms.means).max() <= 1e-14
+    assert np.abs(rot.V - r @ ms.V @ r.T).max() <= 1e-14 * np.abs(ms.V).max()
+    assert np.abs(rot.Omega - r @ ms.Omega @ r.T).max() <= 1e-14 * np.abs(ms.Omega).max()
+    # symmetry and antisymmetry survive exactly
+    assert np.array_equal(rot.V, rot.V.T)
+    assert np.array_equal(rot.Omega, -rot.Omega.T)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.1, 1.3, 0.7853981633974484])
+def test_rotate_moments_keeps_isotropic_blocks_exact(theta):
+    # r @ V @ r.T would turn 250 into 249.99999999999997; an isotropic
+    # (y, z) block and an antisymmetric one must come back bit for bit
+    ms = moments(twisted_split(500, 0.0))
+    rot = rotate_moments(ms, theta)
+    assert np.array_equal(rot.V, ms.V)
+    assert np.array_equal(rot.Omega, ms.Omega)
+    assert np.array_equal(rot.means, ms.means)
 
 
 def test_moments_rejects_other_types():

@@ -18,6 +18,7 @@ from sqsplit.statekit import (
     project_left_number,
     spin_coherent,
     split,
+    twisted_split,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -431,3 +432,32 @@ def test_recorded_mixture_validates_sectors():
 def test_mixture_rejects_non_finite_time(t):
     with pytest.raises(ValueError):
         mixed_split_state(6, t)
+
+
+def test_twisted_split_records_n_and_t_and_builds_its_source_lazily(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the source amplitudes were built")
+
+    monkeypatch.setattr(statekit, "spin_coherent", refuse)
+    full = twisted_split(100000, 0.0037)
+    assert (full.n_total, full.t) == (100000, 0.0037)
+    monkeypatch.undo()
+    # a consumer that asks for the amplitudes gets split(one_axis_twist(...))
+    n, t = 9, 0.41
+    full = twisted_split(n, t)
+    want = split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t))
+    assert np.array_equal(full.source.amplitudes, want.source.amplitudes)
+    assert full.source is full.source
+    for n_left in range(n + 1):
+        assert np.array_equal(full.sector(n_left), want.sector(n_left))
+    prob, cond = project_left_number(full, 4)
+    assert abs(prob - math.comb(n, 4) / 2**n) < 1e-14
+    assert np.abs(cond.psi - effective_evolution(4, 5, t).psi).max() < 1e-12
+    # split() records its source and no time
+    assert want.t is None
+
+
+@pytest.mark.parametrize("n, t", [(-1, 0.1), (4, math.nan), (4, math.inf)])
+def test_twisted_split_rejects_bad_input(n, t):
+    with pytest.raises(ValueError):
+        twisted_split(n, t)
