@@ -9,11 +9,20 @@ Subcommands:
   verify        run the split/project vs effective-evolution equivalence suite,
                 and check the closed-form split moments against the O(N) route
 
-Each command declares only the flags it reads (_COMMANDS).  A --config
-JSON file is read through the same parser: key k becomes the flag
---k-with-dashes=value placed ahead of the command line, so it gets the
-same types and choices, explicit flags win, null leaves the flag unset,
-and a key that is not one of the command's flags is a usage error.
+Each command declares only the flags it reads (_COMMANDS), and main
+hands the command line to that command's own parser, which reads it
+once (an unknown flag is reported as 'usage: sqsplit <command> ...');
+the top-level parser only prints the help or the usage error when argv
+names no command.  A --config JSON file is read through the same
+parser: key k becomes the flag --k-with-dashes=value placed ahead of
+the command line, so it gets the same types and choices, explicit flags
+win, null leaves the flag unset, and a key that is not one of the
+command's flags is a usage error.  A time must be finite and keep the
+twisting phase 8 |t| n^2 finite.
+
+A mixed-mode criteria point costs O(1) at any N: closed-form moments,
+witnesses that read each MomentSet once as plain floats, one argparse
+pass and one binary write.
 
 Outputs are deterministic: floats are printed with 17 significant
 digits, lines end with LF, the parsed flags other than --config, --out
@@ -36,9 +45,9 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -83,6 +92,10 @@ _CRITERIA_COLUMNS = (
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+# a WitnessResult as the tuple of its fields, in order; not
+# dataclasses.astuple, which deep-copies every float
+_WITNESS_ROW = operator.attrgetter(*(f.name for f in fields(wit.WitnessResult)))
+
 
 class UsageError(ValueError):
     """Bad command line / config combination (exit code 2)."""
@@ -106,13 +119,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.n < 0:
             raise UsageError("--n must be nonnegative")
-        for flag, value in (
-            ("--t-min", self.t_min),
-            ("--t-max", self.t_max),
-            ("--epsilon", self.epsilon),
-        ):
-            if not math.isfinite(value):
-                raise UsageError(f"{flag} must be finite, got {value!r}")
+        _check_time("--t-min", self.t_min, self.n)
+        _check_time("--t-max", self.t_max, self.n)
+        if not math.isfinite(self.epsilon):
+            raise UsageError(f"--epsilon must be finite, got {self.epsilon!r}")
         if self.mode not in ("mixed", "conditional"):
             raise UsageError("--mode must be 'mixed' or 'conditional'")
         if self.mode == "conditional":
@@ -139,9 +149,27 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def _check_time(flag, t, n):
+    """t must be finite, and so must the twisting phases at n atoms:
+    they reach 8 |t| n^2 (the twist (S^z)^2 t with |S^z| <= n, the
+    cos(8t) of the moments, the 4 n^2 t of the Wigner closed forms)."""
+    if not math.isfinite(t):
+        raise UsageError(f"{flag} must be finite, got {t!r}")
+    try:
+        phase = 8.0 * abs(t) * max(n, 1) ** 2
+    except OverflowError:  # n^2 beyond the float range
+        phase = math.inf
+    if t != 0.0 and not math.isfinite(phase):
+        raise UsageError(f"{flag} {t!r} overflows the twisting phase 8 |t| n^2 at n = {n}")
+
+
 def _parallel_map(fn, items, threads):
     if threads <= 1:
         return [fn(item) for item in items]
+    # imported here: concurrent.futures pulls in logging, which would
+    # cost every command line a few ms of import
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -151,14 +179,20 @@ def _write_text(path, text):
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        # the text is ASCII with LF line ends; binary mode skips the
+        # text layer's newline and encoder pass
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}")
 
 
+# json.dumps(config, sort_keys=True) without building an encoder per call
+_ECHO_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
 def _csv_head(config, columns):
-    return ["# " + json.dumps(config, sort_keys=True), ",".join(columns)]
+    return ["# " + _ECHO_JSON(config), ",".join(columns)]
 
 
 def _write_csv(path, config, columns, rows):
@@ -243,9 +277,7 @@ def run_criteria_sweep(cfg):
             state = twisted_split(cfg.n, t)
         else:
             state = effective_evolution(cfg.nl, cfg.n - cfg.nl, t)
-        result = wit.witness_suite(moments(state), t)
-        # dataclasses.astuple deep-copies every float: 17 us of a 0.6 ms point
-        return tuple(getattr(result, f.name) for f in fields(result))
+        return _WITNESS_ROW(wit.witness_suite(moments(state), t))
 
     return _parallel_map(one, cfg.time_grid(), cfg.threads)
 
@@ -401,8 +433,8 @@ _COMMANDS = {
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built once per process: parse_args leaves it
-    unchanged."""
+    """The top-level parser and its dict of command parsers, built once
+    per process: parse_args leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="sqsplit",
         description="Exact simulation of split spin-squeezed two-component ensembles",
@@ -413,7 +445,29 @@ def _build_parser():
         p.add_argument("--config", help="JSON object whose keys are this command's flags")
         for flag in flags:
             p.add_argument("--" + flag, **_FLAGS[flag])
-    return parser
+    return parser, sub.choices
+
+
+def _parse_argv(argv):
+    """The Namespace of a command line, --config resolved.
+
+    argv[0] names the command, and its own parser reads the rest once,
+    giving the Namespace the top-level parser gives, which classifies
+    every token a second time.  The top-level parser reads only an argv
+    that names no command: it prints the help or the usage error and
+    exits.  A config file's flags go ahead of the command line through
+    the command's parser.
+    """
+    top, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        top.parse_args(argv)
+    command, rest = argv[0], argv[1:]
+    parser = commands[command]
+    args = parser.parse_args(rest, argparse.Namespace(command=command))
+    if args.config is not None:
+        tokens = _config_flags(command, args.config) + rest
+        args = parser.parse_args(tokens, argparse.Namespace(command=command))
+    return args
 
 
 def _config_flags(command, path):
@@ -449,17 +503,12 @@ def _resolve_threads(value):
     return value
 
 
-def _check_time(t):
-    if not math.isfinite(t):
-        raise UsageError(f"--t must be finite, got {t!r}")
-
-
 def _cmd_state(args, echo):
     if args.nl is None:
         raise UsageError("state requires --nl")
     if not 0 <= args.nl <= args.n:
         raise UsageError("--nl must lie in [0, n]")
-    _check_time(args.t)
+    _check_time("--t", args.t, args.n)
     state = effective_evolution(args.nl, args.n - args.nl, args.t)
     payload = {
         "n_left": state.n_left,
@@ -489,7 +538,7 @@ def _cmd_sweep(args, echo):
 
 
 def _cmd_wigner(args, echo):
-    _check_time(args.t)
+    _check_time("--t", args.t, args.n)
     grid = run_wigner(args.n, args.nl, args.kind, args.kr, args.t)
     thetas, phis, values = display_lattice(grid)
     _write_text(args.out, _lattice_csv(echo, thetas, phis, values))
@@ -523,12 +572,8 @@ def _cmd_verify(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config is not None:
-            # argv[0] is the command: the top-level parser has no options
-            args = parser.parse_args(argv[:1] + _config_flags(args.command, args.config) + argv[1:])
+        args = _parse_argv(argv)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.n is None:

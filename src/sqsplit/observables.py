@@ -36,9 +36,6 @@ __all__ = [
 
 _COMPONENTS = ("x", "y", "z")
 _WELLS = ("left", "right")
-# [[I, -I], [-I, I]]: the vacuum port's share of V, in units of N/4
-_PORT = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.eye(3))
-_PORT.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -167,13 +164,38 @@ def _vacuum_port(n, m, c):
         <S_L> = <S_R> = m / 2,
         V_LL = V_RR = (C + N I) / 4,  V_LR = V_RL = (C - N I) / 4,
         Omega_LL = Omega_RR = eps_ijk m_k,  Omega_LR = 0.
+    Each array is one np.array of a flat list of plain floats, in about
+    half the time of numpy tiling and slice writes.  The bits are those
+    of C/4 + N/4 [[I, -I], [-I, I]] in numpy, whose port term off the
+    diagonal is 0.0 within a well (turning a -0.0 of C/4 into 0.0) and
+    -0.0 across the wells (a no-op).
     """
-    omega = np.zeros((6, 6))
-    omega[:3, :3] = omega[3:, 3:] = [
-        [0.0, m[2], -m[1]], [-m[2], 0.0, m[0]], [m[1], -m[0], 0.0]
+    m0, m1, m2 = m.tolist()
+    q = 0.25 * n
+    quarter = [0.25 * x for row in c.tolist() for x in row]
+    same, cross = [x + 0.0 for x in quarter], quarter[:]
+    for i in (0, 4, 8):
+        same[i], cross[i] = quarter[i] + q, quarter[i] - q
+    v = []
+    for i in (0, 3, 6):
+        v += same[i:i + 3] + cross[i:i + 3]
+    for i in (0, 3, 6):
+        v += cross[i:i + 3] + same[i:i + 3]
+    z = 0.0
+    omega = [
+        z, m2, -m1, z, z, z,
+        -m2, z, m0, z, z, z,
+        m1, -m0, z, z, z, z,
+        z, z, z, z, m2, -m1,
+        z, z, z, -m2, z, m0,
+        z, z, z, m1, -m0, z,
     ]
+    half = [0.5 * m0, 0.5 * m1, 0.5 * m2]
     return MomentSet(
-        n, np.tile(0.5 * m, 2), np.tile(0.25 * c, (2, 2)) + (0.25 * n) * _PORT, omega
+        n,
+        np.array(half + half, dtype=float),
+        np.array(v, dtype=float).reshape(6, 6),
+        np.array(omega, dtype=float).reshape(6, 6),
     )
 
 
@@ -239,8 +261,8 @@ def _twist_moments(n, t):
     mean_x = n * _cos_power(max(n - 1, 0), s4, c4)
     cyz = -2.0 * pair * s4 * _cos_power(k, s4, c4) + 0.0
     return (
-        np.array([mean_x, 0.0, 0.0]),
-        np.array([[a - b, 0.0, 0.0], [0.0, n - a, cyz], [0.0, cyz, n]]),
+        np.array([mean_x, 0.0, 0.0], dtype=float),
+        np.array([[a - b, 0.0, 0.0], [0.0, n - a, cyz], [0.0, cyz, n]], dtype=float),
     )
 
 
@@ -295,10 +317,28 @@ def moments(state, theta=None):
 
 def _rotate_matrix(m, c, s):
     """R m R^T, R turning (y, z) of both wells by theta (c, s its cosine
-    and sine).
+    and sine): the (y, z) blocks by _turn_yz_blocks, the x rows and
+    columns as vectors.  Plain floats: on a 6x6 matrix they are several
+    times faster than small numpy slices."""
+    a = m.tolist()
+    out = _turn_yz_blocks(a, c, s)
+    for x in (0, 3):
+        for y in (1, 4):
+            z = y + 1
+            out[x][y] = c * a[x][y] - s * a[x][z]
+            out[x][z] = s * a[x][y] + c * a[x][z]
+            out[y][x] = c * a[y][x] - s * a[z][x]
+            out[z][x] = s * a[y][x] + c * a[z][x]
+    return np.array(out)
 
-    Each 2x2 (y, z) block [[p, q], [r, u]] between two wells is turned
-    as a correction to itself: p' = p - s (s (p-u) + c (q+r)) and so on
+
+def _turn_yz_blocks(a, c, s):
+    """A copy of the 6x6 list of lists a with its four 2x2 (y, z) blocks
+    turned by theta (c, s its cosine and sine); the x rows and columns
+    are copied unturned.
+
+    Each block [[p, q], [r, u]] between two wells is turned as a
+    correction to itself: p' = p - s (s (p-u) + c (q+r)) and so on
     where s^2 <= c^2, and from the swapped block, p' = u + c (c (p-u) -
     s (q+r)), where s^2 > c^2.  An isotropic block (p = u, q = r = 0)
     and an antisymmetric one therefore come back bit for bit, which
@@ -307,19 +347,9 @@ def _rotate_matrix(m, c, s):
     variance keeps its digits.  The double-angle form (p+u)/2 + (p-u)/2
     cos 2theta - ... keeps isotropy too, but forms the squeezed variance
     of an N = 500 state as the difference of two terms of size p/2 and
-    is 3.5e-13 off, against 2e-15 for r @ m @ r.T.  Plain floats: on a
-    6x6 matrix they are several times faster than small numpy slices.
+    is 3.5e-13 off, against 2e-15 for r @ m @ r.T.
     """
-    a = m.tolist()
     out = [row[:] for row in a]
-    # x rows and columns turn as vectors
-    for x in (0, 3):
-        for y in (1, 4):
-            z = y + 1
-            out[x][y] = c * a[x][y] - s * a[x][z]
-            out[x][z] = s * a[x][y] + c * a[x][z]
-            out[y][x] = c * a[y][x] - s * a[z][x]
-            out[z][x] = s * a[y][x] + c * a[z][x]
     for yi in (1, 4):
         zi = yi + 1
         for yj in (1, 4):
@@ -334,7 +364,7 @@ def _rotate_matrix(m, c, s):
                 down, side = c * (c * diff - s * both), c * (s * diff + c * both)
                 out[yi][yj], out[zi][zj] = u + down, p - down
                 out[yi][zj], out[zi][yj] = side - r, side - q
-    return np.array(out)
+    return out
 
 
 def rotate_moments(ms, theta):

@@ -85,6 +85,104 @@ def test_parser_is_built_once():
         assert parse_csv(out)[0]["t_max"] == t_max
 
 
+# per command: a command line setting each flag it reads, a config file
+# (null leaves a flag unset) and a flag that overrides the file
+_PARSE_CASES = {
+    "state": (
+        ["--n", "6", "--nl", "3", "--t", "0.25", "--out", "s.json", "--threads", "2"],
+        {"n": 6, "nl": 3, "t": 0.25, "threads": None},
+        ["--t", "0.5"],
+    ),
+    "entanglement": (
+        ["--n", "6", "--mode", "conditional", "--nl", "2", "--t-min", "0.1", "--t-max=0.3",
+         "--steps", "4", "--epsilon", "1e-6", "--format", "json"],
+        {"n": 6, "mode": "conditional", "nl": 2, "t_min": 0.1, "epsilon": 1e-6},
+        ["--epsilon", "1e-3"],
+    ),
+    "criteria": (
+        ["--n", "500", "--t-min", "0.0123", "--t-max", "0.0123", "--steps", "1",
+         "--threads", "1", "--out", "op.csv"],
+        {"n": 500, "t_max": 0.0123, "steps": 1, "format": "json", "out": "op.csv"},
+        ["--format", "csv"],
+    ),
+    "steering": (
+        ["--n", "8", "--mode", "conditional", "--nl", "4", "--steps", "3"],
+        {"n": 8, "mode": "conditional", "nl": None},
+        ["--nl", "3"],
+    ),
+    "wigner": (
+        ["--n", "4", "--nl", "2", "--kind", "conditional", "--kr", "1", "--t", "0.1"],
+        {"n": 4, "nl": 2, "kind": "conditional", "kr": 1},
+        ["--kind", "marginal"],
+    ),
+    "verify": (
+        ["--n", "5", "--inject-phase-error", "0.01"],
+        {"n": 5, "inject_phase_error": 0.01},
+        ["--n", "3"],
+    ),
+}
+
+
+def _two_pass(argv, config=None):
+    """The Namespace as the top-level parser gives it, a config file
+    re-parsed with its flags ahead of the command line."""
+    parser = sqsplit.cli._build_parser()[0]
+    args = parser.parse_args(argv)
+    if config is not None:
+        args = parser.parse_args(argv[:1] + sqsplit.cli._config_flags(argv[0], config) + argv[1:])
+    return args
+
+
+@pytest.mark.parametrize("command", sorted(_PARSE_CASES))
+def test_command_parser_gives_the_top_level_namespace(tmp_path, command):
+    flags, cfg, override = _PARSE_CASES[command]
+    for argv in ([command], [command] + flags):
+        assert vars(sqsplit.cli._parse_argv(argv)) == vars(_two_pass(argv))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    for tail in ([], override, flags):
+        argv = [command, "--config", str(path)] + tail
+        got = sqsplit.cli._parse_argv(argv)
+        assert vars(got) == vars(_two_pass(argv, str(path)))
+        assert got.command == command and got.config == str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        ([], 2, "err", "the following arguments are required: command"),
+        (["bogus", "--n", "4"], 2, "err", "invalid choice: 'bogus'"),
+        (["--n", "4", "criteria"], 2, "err", "invalid choice: '4'"),
+        (["-h"], 0, "out", "usage: sqsplit [-h]"),
+        (["--help", "criteria"], 0, "out", "usage: sqsplit [-h]"),
+        (["criteria", "-h"], 0, "out", "usage: sqsplit criteria [-h]"),
+        (["criteria", "--n", "4", "--bogus", "1"], 2, "err", "usage: sqsplit criteria [-h]"),
+    ],
+)
+def test_parse_exit_codes(argv, code, stream, text):
+    got, out, err = run_cli(argv)
+    assert got == code
+    assert text in (out if stream == "out" else err)
+
+
+def test_import_leaves_the_thread_pool_out():
+    # concurrent.futures pulls in logging; only --threads > 1 needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sqsplit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, sqsplit.cli; "
+        "sqsplit.cli.main(['criteria', '--n', '4', '--steps', '2', '--threads', '1']); "
+        "sys.exit(int('concurrent.futures' in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------- state
 
 
@@ -372,6 +470,49 @@ def test_criteria_non_finite_times_exit_2(times):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criteria", "--n", "10", "--t-min", "1e308", "--t-max", "1e308", "--steps", "1"],
+        ["steering", "--n", "10", "--t-max", "1e308"],
+        ["criteria", "--n", "10", "--mode", "conditional", "--nl", "5",
+         "--t-min", "1e308", "--t-max", "1e308", "--steps", "1"],
+        ["criteria", "--n", "10", "--t-min=-1e308", "--t-max", "0", "--steps", "2"],
+        ["entanglement", "--n", "10", "--t-min", "1e308", "--t-max", "1e308", "--steps", "1"],
+        ["entanglement", "--n", "10", "--mode", "conditional", "--nl", "5",
+         "--t-min", "1e308", "--t-max", "1e308", "--steps", "1"],
+        ["state", "--n", "10", "--nl", "5", "--t", "1e308"],
+        ["wigner", "--n", "10", "--nl", "5", "--t", "1e308"],
+        ["wigner", "--n", "10", "--nl", "5", "--kind", "conditional", "--kr", "2",
+         "--t=-1e308"],
+    ],
+)
+def test_time_overflowing_the_twisting_phase_exits_2(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "twisting phase" in err
+
+
+def test_time_bound_is_8_t_n_squared():
+    # the largest |t| with 8 |t| n^2 finite still runs, at every n
+    n = 10
+    t = repr(sys.float_info.max / 8.0 / n**2)
+    for argv in (
+        ["criteria", "--n", str(n), "--t-min", t, "--t-max", t, "--steps", "1"],
+        ["criteria", "--n", str(n), "--mode", "conditional", "--nl", "4",
+         "--t-min", t, "--t-max", t, "--steps", "1"],
+        ["state", "--n", str(n), "--nl", "4", "--t", t],
+    ):
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+    with pytest.raises(UsageError, match="twisting phase"):
+        SweepConfig(n=10**200, t_max=1e-300)
+    # t = 0 has no phase at any n
+    SweepConfig(n=10**400, t_max=0.0)
 
 
 def test_steering_alias_matches_criteria():

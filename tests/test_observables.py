@@ -289,6 +289,36 @@ def test_twisted_split_zero_time_is_the_exact_coherent_product():
     assert np.array_equal(ms.means, [250.0, 0.0, 0.0, 250.0, 0.0, 0.0])
 
 
+def _tiled_vacuum_port(n, m, c):
+    """The vacuum-port map in numpy form: tiled blocks plus N/4 times
+    [[I, -I], [-I, I]], and eps_ijk m_k written into both wells."""
+    port = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.eye(3))
+    omega = np.zeros((6, 6))
+    omega[:3, :3] = omega[3:, 3:] = [
+        [0.0, m[2], -m[1]], [-m[2], 0.0, m[0]], [m[1], -m[0], 0.0]
+    ]
+    return np.tile(0.5 * m, 2), np.tile(0.25 * c, (2, 2)) + (0.25 * n) * port, omega
+
+
+def test_split_moments_are_bit_for_bit_the_tiled_form():
+    from sqsplit.observables import _twist_moments, _vacuum_port
+
+    rng = np.random.default_rng(19)
+    cases = [(n, *_twist_moments(n, t)) for n in (0, 1, 2, 3, 500, 10**5)
+             for t in (0.0, 1e-4, 0.0123, 0.3, math.pi / 8)]
+    for k in range(60):
+        a = rng.normal(size=(3, 3))
+        c = a + a.T
+        # signed zeros on and off the diagonal, and N = 0 where N/4 is 0.0
+        c[0, 1] = c[1, 0] = c[k % 3, k % 3] = -0.0
+        cases.append(((0, 1, 424)[k % 3], rng.normal(size=3) * [1, 0, 1], c))
+    for n, m, c in cases:
+        got = _vacuum_port(n, m, c)
+        for a, b in zip((got.means, got.V, got.Omega), _tiled_vacuum_port(n, m, c)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes(), (n, m, c)
+
+
 def test_quadrature_pair_variance_polynomial():
     """Short-time growth of the squeezed quadrature pair at N = 500.
 

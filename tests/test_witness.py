@@ -14,6 +14,7 @@ from sqsplit.statekit import (
     one_axis_twist,
     spin_coherent,
     split,
+    twisted_split,
 )
 from sqsplit.witness import (
     UndefinedWitnessError,
@@ -526,3 +527,146 @@ def test_witness_suite_undefined_witnesses_are_nan():
     for name in ("t", "e_dgcz", "e_cm", "e_g", "xi", "e_steer_lr", "e_steer_rl",
                  "g_y", "g_z", "theta"):
         assert math.isnan(getattr(result, name)) == (name in undefined), name
+
+
+# ------------------------------------------ float paths vs numpy forms
+
+
+def _floor(ms):
+    return 1e-9 * max(1.0, ms.n_total)
+
+
+def _numpy_dgcz(ms):
+    v, m = ms.V, ms.means
+    num = (v[1, 1] + v[5, 5] + 2.0 * v[1, 5]) + (v[4, 4] + v[2, 2] + 2.0 * v[4, 2])
+    den = 2.0 * (m[0] + m[3])
+    if den <= _floor(ms):
+        raise UndefinedWitnessError
+    return num / den
+
+
+def _numpy_covariance_criterion(ms):
+    q = np.diag([1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+    pto = q @ ms.Omega @ q
+    pto[3:, 3:] *= -1.0
+    return hermitian_min_eigenvalue(q @ ms.V @ q + 0.5j * pto) / ms.n_total
+
+
+def _numpy_wineland_xi(ms):
+    v, m = ms.V, ms.means
+    var_tot = v[2, 2] + v[5, 5] + 2.0 * v[2, 5]
+    mx = m[0] + m[3]
+    if abs(mx) <= _floor(ms):
+        raise UndefinedWitnessError
+    return ms.n_total * var_tot / (mx * mx)
+
+
+def _numpy_epr_steering(ms, direction):
+    v = ms.V
+    (sz, tz, sy, ty), mx = ((2, 5, 1, 4), ms.means[3]) if direction == "lr" else (
+        (5, 2, 4, 1), ms.means[0])
+    if mx <= _floor(ms):
+        raise UndefinedWitnessError
+    g_z = v[sz, tz] / v[sz, sz] if v[sz, sz] > 0.0 else 0.0
+    g_y = v[sy, ty] / v[sy, sy] if v[sy, sy] > 0.0 else 0.0
+    var_z = g_z * g_z * v[sz, sz] - 2.0 * g_z * v[sz, tz] + v[tz, tz]
+    var_y = g_y * g_y * v[sy, sy] - 2.0 * g_y * v[sy, ty] + v[ty, ty]
+    return math.sqrt(max(var_z, 0.0) * max(var_y, 0.0)) / mx, g_y, g_z
+
+
+def _bits(fn, *args):
+    """A witness outcome as exact bits: float hex, or 'undefined'."""
+    try:
+        value = fn(*args)
+    except UndefinedWitnessError:
+        return "undefined"
+    if isinstance(value, tuple):
+        return tuple(float(x).hex() for x in value)
+    return float(value).hex()
+
+
+def _float_path_cases():
+    """(moments, t): the closed-form split state, single sectors, and
+    random symmetric V with antisymmetric in-well Omega."""
+    cases = []
+    for n in (3, 10, 500, 10**5):
+        for t in (0.0, 1e-5, 1e-3, 0.0123, 0.1, 0.3):
+            cases.append((moments(twisted_split(n, t)), t))
+    for wells in ((0, 5), (5, 0), (3, 4), (10, 10), (250, 250), (100, 20)):
+        for t in (0.0, 1e-3, 0.04, 0.3):
+            cases.append((moments(effective_evolution(*wells, t)), t))
+    rng = np.random.default_rng(1919)
+    for _ in range(200):
+        a = rng.normal(size=(6, 6)) * rng.uniform(0.1, 50.0)
+        v = a @ a.T if rng.random() < 0.5 else 0.5 * (a + a.T)
+        b = rng.normal(size=(6, 6))
+        b[:3, 3:] = b[3:, :3] = 0.0
+        means = rng.normal(size=6) * rng.uniform(0.1, 50.0)
+        ms = MomentSet(int(rng.integers(3, 500)), means, v, b - b.T)
+        cases.append((ms, float(rng.uniform(0.0, 0.5))))
+    return cases
+
+
+def test_witness_float_paths_equal_their_numpy_forms():
+    for ms, _ in _float_path_cases():
+        assert _bits(dgcz, ms) == _bits(_numpy_dgcz, ms)
+        assert _bits(covariance_criterion, ms) == _bits(_numpy_covariance_criterion, ms)
+        assert _bits(wineland_xi, ms) == _bits(_numpy_wineland_xi, ms)
+        for direction in ("lr", "rl"):
+            assert _bits(epr_steering, ms, direction) == _bits(
+                _numpy_epr_steering, ms, direction
+            )
+
+
+def test_witness_suite_equals_the_witnesses_on_rotate_moments():
+    # witness_suite turns only the (y, z) blocks of V that the rotated
+    # witnesses read; they must see the bits of the full rotation
+    def steering_value(ms, direction):
+        return epr_steering(ms, direction)[0]
+
+    fields = ("t", "e_dgcz", "e_cm", "e_g", "xi", "e_steer_lr", "e_steer_rl", "g_y", "g_z",
+              "theta")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for ms, t in _float_path_cases():
+            theta = squeezing_angle(ms.n_total, t)
+            rotated = rotate_moments(ms, theta)
+            gio = _bits(giovannetti, rotated)
+            if gio == "undefined":
+                gio = ("undefined",) * 3
+            want = [
+                float(t).hex(), _bits(dgcz, ms), _bits(covariance_criterion, ms), gio[0],
+                _bits(wineland_xi, rotated), _bits(steering_value, rotated, "lr"),
+                _bits(steering_value, rotated, "rl"), gio[1], gio[2], theta.hex(),
+            ]
+            want = [math.nan.hex() if x == "undefined" else x for x in want]
+            got = witness_suite(ms, t)
+            assert [float(getattr(got, f)).hex() for f in fields] == want
+
+
+def test_covariance_criterion_still_rejects_non_hermitian_moments():
+    ms = moments(twisted_split(10, 0.05))
+    v = ms.V.copy()
+    v[1, 4] += 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        covariance_criterion(MomentSet(10, ms.means, v, ms.Omega))
+    # a symmetric part in Omega makes (i/2) Omega non-Hermitian
+    omega = ms.Omega.copy()
+    omega[1, 2] = omega[2, 1] = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        covariance_criterion(MomentSet(10, ms.means, ms.V, omega))
+
+
+@pytest.mark.parametrize("n", [500, 2000, 10**4, 10**5])
+def test_squeezing_angle_against_40_digit_reference(n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for t in (1e-5, 1e-4, 3e-4, 1e-3, 0.0123):
+            x = mpmath.mpf(t)
+            num = 4 * mpmath.sin(4 * x) * mpmath.cos(4 * x) ** (n - 2)
+            den = 1 - mpmath.cos(8 * x) ** (n - 2)
+            want = mpmath.atan2(num, den) / 2
+            if want < 0:
+                want += mpmath.pi / 2
+            got = squeezing_angle(n, t)
+            assert abs(got - want) <= 1e-13 * abs(want), (n, t, got, float(want))
