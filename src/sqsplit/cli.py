@@ -18,7 +18,8 @@ parser: key k becomes the flag --k-with-dashes=value placed ahead of
 the command line, so it gets the same types and choices, explicit flags
 win, null leaves the flag unset, and a key that is not one of the
 command's flags is a usage error.  A time must be finite and keep the
-twisting phase 8 |t| n^2 finite.
+twisting phase 8 |t| n^2 finite; criteria's --n is at most 10^15, and
+one conditional sector holds at most 2^20 amplitudes.
 
 A mixed-mode criteria point costs O(1) at any N: closed-form moments,
 witnesses that read each MomentSet once as plain floats, one argparse
@@ -130,6 +131,7 @@ class SweepConfig:
                 raise UsageError("--mode conditional requires --nl")
             if not 0 <= self.nl <= self.n:
                 raise UsageError("--nl must lie in [0, n]")
+            _check_sector(self.n, self.nl)
         if self.steps < 1:
             raise UsageError("--steps must be positive")
         if self.t_max < self.t_min:
@@ -147,6 +149,28 @@ class SweepConfig:
 
 def _fmt(x):
     return f"{x:.17g}"
+
+
+# Largest criteria --n: the witnesses of the closed-form moments hold their
+# large-N limit (xi n^(2/3) -> 1.0400 at t = 0.3 n^(-2/3)) to 1e-5 up to
+# n = 10^17, drift by 3e-4 at 10^18 and collapse at 10^19; 10^15 < 2^53
+# also keeps n, n - 1 and n - 2 exact doubles.
+_N_MAX = 10**15
+
+# Largest entry count (nl + 1)(n - nl + 1) of one conditional sector:
+# at n = 2000, nl = 1000 (1,002,001 entries) a criteria point took 0.30 s
+# and 275 MB, an entanglement point 0.74 s, and state 7.5 s and 514 MB
+# on 2 vCPUs; at n = 3000 they took 546 MB, 3.8 s and 1.1 GB.
+_SECTOR_ENTRIES_MAX = 2**20
+
+
+def _check_sector(n, nl):
+    """One conditional sector, checked before it is allocated."""
+    if (nl + 1) * (n - nl + 1) > _SECTOR_ENTRIES_MAX:
+        raise UsageError(
+            f"a conditional sector is limited to (nl + 1)(n - nl + 1) <= "
+            f"{_SECTOR_ENTRIES_MAX} amplitudes (n = 2000, nl = 1000 fits)"
+        )
 
 
 def _check_time(flag, t, n):
@@ -270,6 +294,8 @@ def run_criteria_sweep(cfg):
     """
     if cfg.n < 3:
         raise UsageError("criteria needs --n >= 3 for the squeezing angle")
+    if cfg.n > _N_MAX:
+        raise UsageError("criteria is limited to n <= 10^15")
 
     def one(t):
         t = float(t)
@@ -508,6 +534,7 @@ def _cmd_state(args, echo):
         raise UsageError("state requires --nl")
     if not 0 <= args.nl <= args.n:
         raise UsageError("--nl must lie in [0, n]")
+    _check_sector(args.n, args.nl)
     _check_time("--t", args.t, args.n)
     state = effective_evolution(args.nl, args.n - args.nl, args.t)
     payload = {

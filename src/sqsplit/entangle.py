@@ -35,6 +35,7 @@ rank the dropped part of the m x n matrices C and S can hold.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,10 +89,31 @@ def log_negativity_pure(state):
     return 2.0 * math.log2(float(np.sum(lam)))
 
 
-# Squared norm the bracket may drop from each block before its SVD:
-# far below the width the truncation window already leaves, so the
-# trim widens the bracket only at roundoff level.
+# Squared norm the bracket may drop from the heaviest block before its
+# SVD.  A block (or mirror pair) of weight w gets _TRIM_BUDGET
+# (w_max / w)^2, at most _TRIM_CAP, so every block's weighted slack
+# w sqrt(d) is the heaviest block's, far below the width the truncation
+# window already leaves: the trim widens the bracket only at roundoff
+# level, and a light block runs a smaller SVD.  The cap keeps a block of
+# vanishing weight from a slack larger than its own norm.
 _TRIM_BUDGET = 1e-30
+_TRIM_CAP = 1e-8
+
+
+def _trim_budgets(weights, budget):
+    """The trim budget of each block of the given weights (> 0):
+    budget (w_max / w)^2, capped at max(budget, _TRIM_CAP); budget 0
+    trims nothing.
+
+    (w_max / w)^2 is a product, not a float **, which raises
+    OverflowError where weights reach 1e-241 (n = 800, window 0); the
+    product turns into inf there and the cap takes over.
+    """
+    if budget <= 0.0:
+        return [0.0] * len(weights)
+    top = max(weights)
+    cap = max(budget, _TRIM_CAP)
+    return [min(cap, budget * (top / w) * (top / w)) for w in weights]
 
 
 def _nuclear_norm_bounds(psi, budget):
@@ -137,6 +159,7 @@ def _phase_table(top, t):
     return table
 
 
+@lru_cache(maxsize=1024)
 def _leading_axis(n, budget):
     """(u, wa, mass, dropped) for one well of n atoms.
 
@@ -145,6 +168,10 @@ def _leading_axis(n, budget):
     all rows and dropped that of the rows cut off.  The row of u has
     squared norm wa_u^2 at every t, so the cut takes the largest u
     while their summed wa_u^2 stays <= budget; budget = 0 keeps all.
+
+    Nothing here depends on t, so the result is cached per (n, budget),
+    u and wa as read-only vectors of at most n / 2 + 1 entries; every
+    mixture at one N and window asks for the same keys.
     """
     a = _coherent_half_weights(n)[(n + 1) // 2 :]
     wa = a * math.sqrt(2.0)
@@ -154,7 +181,10 @@ def _leading_axis(n, budget):
     n_drop = int(tail.searchsorted(budget, side="right")) if budget > 0.0 else 0
     keep = wa.size - n_drop
     u = np.arange(n % 2, n % 2 + 2 * keep, 2)
-    return u, wa[:keep], float(tail[-1]), float(tail[n_drop - 1]) if n_drop else 0.0
+    wa = wa[:keep].copy()
+    u.setflags(write=False)
+    wa.setflags(write=False)
+    return u, wa, float(tail[-1]), float(tail[n_drop - 1]) if n_drop else 0.0
 
 
 def _entangler_bounds(n_left, n_right, t, budget, table=None, work=None):
@@ -194,14 +224,14 @@ def _entangler_bounds(n_left, n_right, t, budget, table=None, work=None):
         table = _phase_table(int(index[-1, -1]), t)
     elif index[-1, -1] >= table.shape[1]:
         raise ValueError("phase table is shorter than the largest kept uv")
-    shape = (2, u.size, v.size)
-    parts = np.empty(shape) if work is None else work[: 2 * index.size].reshape(shape)
+    flat = np.empty(2 * index.size) if work is None else work[: 2 * index.size]
+    parts = flat.reshape(2, u.size, v.size)
     # every index is in range, so take may skip its buffered bounds check
     np.take(table, index, axis=1, out=parts, mode="clip")
     # w_u w_v = 2 wherever sin(2tuv) can be nonzero
     parts *= wa[:, None]
     parts *= wb
-    norm = float(np.einsum("kij,kij->", parts, parts))
+    norm = float(flat @ flat)
     kept = (mass_u - drop_u) * (mass_v - drop_v)
     full = mass_u * mass_v
     if not (abs(norm - kept) <= 1e-9 and abs(full - 1.0) <= 1e-9):
@@ -212,31 +242,45 @@ def _entangler_bounds(n_left, n_right, t, budget, table=None, work=None):
     dropped = m - u.size + n - v.size
     slack = math.sqrt(2 * min(m, n, dropped) * (drop_u * mass_v + drop_v * mass_u))
     lam = np.linalg.svd(parts, compute_uv=False)
-    return float(np.sum(lam)), slack
+    return float(lam.sum()), slack
 
 
 def _block_trace_norms(mixture, budget=0.0):
     """(weight, s, slack) per block, s <= ||psi||_* <= s + slack.
 
     The block's trace-norm term in ||rho^{T_L}||_1 is weight ||psi||_*^2.
-    A mixture that records its twisting time is never built: each
-    mirror pair min(N_L, N_R) is bounded once from its real entangler
-    parts C and S, gathered from one phase table sized to the largest
-    kept uv, and each block keeps its own weight.  A mixture assembled
-    from arbitrary blocks is decomposed block by block.
+    budget is the squared norm the heaviest block may drop; every other
+    block gets budget (w_max / w)^2, capped (_trim_budgets), so that
+    w sqrt(d), and with it the block's share of the bracket width, is
+    the heaviest block's.  A mixture that records its twisting time is
+    never built: each mirror pair min(N_L, N_R) is bounded once, under
+    the budget of its summed weight, from its real entangler parts C
+    and S, gathered from one phase table sized to the largest kept uv,
+    and each block keeps its own weight.  A mixture assembled from
+    arbitrary blocks is decomposed block by block, each under the
+    budget of its own weight.
     """
     if mixture.t is None:
-        return [(w, *_nuclear_norm_bounds(b.psi, budget)) for w, b in mixture.blocks]
+        blocks = mixture.blocks
+        budgets = _trim_budgets([w for w, _ in blocks], budget)
+        return [(w, *_nuclear_norm_bounds(b.psi, d)) for (w, b), d in zip(blocks, budgets)]
     n = mixture.n_total
-    lows = {min(n_left, n - n_left) for _, n_left in mixture.sectors}
+    pairs = {}
+    for weight, n_left in mixture.sectors:
+        low = min(n_left, n - n_left)
+        pairs[low] = pairs.get(low, 0.0) + weight
+    budgets = dict(zip(pairs, _trim_budgets(list(pairs.values()), budget)))
     # the kept extents, which depend on the weights alone, size the table
     kept = [
-        (_leading_axis(low, budget / 2.0)[0], _leading_axis(n - low, budget / 2.0)[0])
-        for low in lows
+        (_leading_axis(low, d / 2.0)[0], _leading_axis(n - low, d / 2.0)[0])
+        for low, d in budgets.items()
     ]
     table = _phase_table(max(int(u[-1] * v[-1]) for u, v in kept), mixture.t)
     work = np.empty(2 * max(u.size * v.size for u, v in kept))
-    done = {low: _entangler_bounds(low, n - low, mixture.t, budget, table, work) for low in lows}
+    done = {
+        low: _entangler_bounds(low, n - low, mixture.t, d, table, work)
+        for low, d in budgets.items()
+    }
     return [(weight, *done[min(n_left, n - n_left)]) for weight, n_left in mixture.sectors]
 
 
@@ -290,15 +334,18 @@ def log_negativity_bracket(mixture):
     Missing sectors contribute a trace-norm factor between 1 (product)
     and min(N_L, N_R) + 1 (maximally entangled), weighted by their
     untruncated probabilities.  Present blocks are trimmed before their
-    SVD, dropping a squared norm d <= 1e-30: the kept submatrix's
-    nuclear norm s bounds the block's from below and s + sqrt(r d) from
-    above, r the rank the dropped rows and columns can hold, so the
-    lower sum takes p s^2 and the upper p (s + sqrt(r d))^2.  Mirror
-    blocks share one decomposition.  For a mixture that records t the
-    trim keeps the leading block |u| <= U, |v| <= V of the entangler
-    parts C and S, U and V read off the weight tails alone (row u of
-    C (+) S has squared norm w_u^2 a_u^2 at every t), with
-    r <= 2 min(m, n, dropped rows + dropped columns) for m x n parts;
+    SVD, dropping a squared norm d: the kept submatrix's nuclear norm s
+    bounds the block's from below and s + sqrt(r d) from above, r the
+    rank the dropped rows and columns can hold, so the lower sum takes
+    p s^2 and the upper p (s + sqrt(r d))^2.  The heaviest block (or
+    mirror pair, weights summed) may drop d <= 1e-30 and one of weight
+    p drops d <= 1e-30 (p_max / p)^2, at most 1e-8, so each term's
+    slack p sqrt(d) is the heaviest one's and a light block runs a
+    smaller SVD.  Mirror blocks share one decomposition.  For a mixture
+    that records t the trim keeps the leading block |u| <= U, |v| <= V
+    of the entangler parts C and S, U and V read off the weight tails
+    alone (row u of C (+) S has squared norm w_u^2 a_u^2 at every t),
+    with r <= 2 min(m, n, dropped rows + dropped columns) for m x n parts;
     the entries of the kept block come from one table of cos(2tm) and
     sin(2tm) per mixture, m = uv.  Blocks of a mixture assembled from
     arbitrary blocks drop their smallest rows and columns, with r <=

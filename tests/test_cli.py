@@ -714,6 +714,42 @@ def test_echo_holds_the_commands_own_flags():
     assert set(echoes["wigner"]) == {"command", "n", "nl", "kind", "kr", "t"}
 
 
+HUGE_N = str(10**200)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["criteria", "--n", HUGE_N, "--steps", "2", "--t-max", "0"], "n <= 10^15"),
+        (["steering", "--n", str(10**15 + 1), "--steps", "2"], "n <= 10^15"),
+        (["entanglement", "--n", HUGE_N, "--mode", "conditional", "--nl", "1",
+          "--t-max", "0"], "conditional sector"),
+        (["state", "--n", HUGE_N, "--nl", "1", "--t", "0"], "conditional sector"),
+        (["state", "--n", "2047", "--nl", "1023"], "conditional sector"),
+        (["criteria", "--n", "100000", "--mode", "conditional", "--nl", "50000",
+          "--steps", "1", "--t-max", "0"], "conditional sector"),
+        (["entanglement", "--n", "100000", "--mode", "conditional", "--nl", "20",
+          "--steps", "1"], "conditional sector"),
+    ],
+)
+def test_oversized_n_exits_2_before_allocating(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+def test_size_caps_sit_where_stated():
+    # the largest criteria n and the largest sector are accepted; the
+    # sector is checked on the settings alone, nothing is allocated
+    assert SweepConfig(n=2046, mode="conditional", nl=1023).nl == 1023  # 1024^2 = 2^20
+    with pytest.raises(UsageError, match="conditional sector"):
+        SweepConfig(n=2047, mode="conditional", nl=1023)
+    code, out, _ = run_cli(["criteria", "--n", str(10**15), "--steps", "2", "--t-max", "0"])
+    assert code == 0 and out.count("\n") == 4
+
+
 def test_usage_errors_exit_2():
     cases = [
         ["entanglement", "--steps", "3"],  # missing --n

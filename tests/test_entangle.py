@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from sqsplit import entangle, statekit
 from sqsplit.entangle import (
     _TRIM_BUDGET,
+    _TRIM_CAP,
     SchmidtSpectrum,
     _absent_sectors,
     _block_trace_norms,
     _entangler_bounds,
+    _leading_axis,
     _nuclear_norm_bounds,
+    _trim_budgets,
     log_negativity_bracket,
     log_negativity_dense,
     log_negativity_mixed,
@@ -511,3 +514,119 @@ def test_absent_sectors_match_the_scalar_loop(n, window):
     ]
     assert (len(expected) > 0) == (window > 0.0)
     assert _absent_sectors(mixture) == expected
+
+
+def _uniform_trim_norms(mixture, budget=0.0):
+    """_block_trace_norms under the uniform rule: every mirror pair of a
+    recorded-t mixture trimmed to _TRIM_BUDGET, whatever its weight."""
+    n = mixture.n_total
+    done = {}
+    for _, n_left in mixture.sectors:
+        low = min(n_left, n - n_left)
+        if low not in done:
+            done[low] = _entangler_bounds(low, n - low, mixture.t, _TRIM_BUDGET)
+    return [(w, *done[min(l, n - l)]) for w, l in mixture.sectors]
+
+
+def _uniform_bracket(monkeypatch, mixture):
+    with monkeypatch.context() as patch:
+        patch.setattr(entangle, "_block_trace_norms", _uniform_trim_norms)
+        return log_negativity_bracket(mixture)
+
+
+@pytest.mark.parametrize("n", [120, 200, 500, 800])
+@pytest.mark.parametrize("t", [0.0, 4e-3, 0.02, 0.3])
+def test_weighted_trim_keeps_the_uniform_bracket(monkeypatch, n, t):
+    # each pair's weighted slack w sqrt(d) stays at the heaviest pair's,
+    # so the bracket barely widens and still holds the exact value
+    exact = log_negativity_mixed(mixed_split_state(n, t, window=0.0))
+    for window in (1e-12, 0.0):
+        mixture = mixed_split_state(n, t, window=window)
+        low, high = log_negativity_bracket(mixture)
+        low_u, high_u = _uniform_bracket(monkeypatch, mixture)
+        assert low <= exact <= high
+        assert high - low <= 1.01 * (high_u - low_u)
+        assert abs(low - low_u) <= 1e-14
+
+
+def test_weighted_trim_shrinks_the_svds(monkeypatch):
+    mixture = mixed_split_state(500, 0.0037)
+    work = []
+    for bracket in (log_negativity_bracket, lambda m: _uniform_bracket(monkeypatch, m)):
+        with monkeypatch.context() as patch:
+            seen = _svd_inputs(patch)
+            bracket(mixture)
+        work.append(sum(m * n * min(m, n) for _, m, n in (a.shape for a in seen)))
+    assert len(seen) == 78
+    assert work[0] <= 0.75 * work[1]
+
+
+def test_trim_budgets_scale_with_weight():
+    weights = [0.5, 0.05, 1e-20, 1e-241, 5e-324]
+    # no float ** on the way: (w_max / w)^2 overflows to inf, the cap wins
+    assert _trim_budgets(weights, 1e-30) == [
+        1e-30, 1e-30 * 10.0 * 10.0, _TRIM_CAP, _TRIM_CAP, _TRIM_CAP
+    ]
+    assert _trim_budgets(weights, 0.0) == [0.0] * 5
+    # a budget above the cap is never cut below itself
+    assert _trim_budgets([1.0, 1e-3], 1e-4) == [1e-4, 1e-4]
+
+
+def test_weighted_trim_certifies_every_block_at_n800():
+    # window 0 keeps sectors of weight 1e-241, whose (w_max / w)^2
+    # overflows the float range
+    mixture = mixed_split_state(800, 0.02, window=0.0)
+    assert min(w for w, _ in mixture.sectors) < 1e-240
+    exact = _block_trace_norms(mixture)
+    trimmed = _block_trace_norms(mixture, _TRIM_BUDGET)
+    for (w, s, _), (w_t, s_t, slack) in zip(exact, trimmed):
+        assert w_t == w
+        assert s_t <= s * (1.0 + 1e-13)
+        assert s <= (s_t + slack) * (1.0 + 1e-13)
+        assert slack <= math.sqrt(2 * 201 * _TRIM_CAP)
+    low, high = log_negativity_bracket(mixture)
+    # log_negativity_mixed of a mixture that leaves no sector out
+    assert low <= math.log2(sum(w * s**2 for w, s, _ in exact)) <= high
+
+
+def test_arbitrary_blocks_share_the_weighted_trim():
+    blocks = mixed_split_state(40, 0.3, window=0.0).blocks
+    mixture = SplitMixedState(40, blocks)
+    budgets = _trim_budgets([w for w, _ in blocks], _TRIM_BUDGET)
+    terms = _block_trace_norms(mixture, _TRIM_BUDGET)
+    for (w, b), d, (w_got, s, slack) in zip(blocks, budgets, terms):
+        assert w_got == w
+        assert (s, slack) == _nuclear_norm_bounds(b.psi, d)
+    assert any(d > _TRIM_BUDGET for d in budgets)
+    exact = log_negativity_mixed(mixture)
+    low, high = log_negativity_bracket(mixture)
+    assert low <= exact <= high
+
+
+@pytest.mark.parametrize("n, t", [(0, 0.1), (41, 0.3), (60, 0.0037), (500, 0.02)])
+def test_mixed_negativity_is_the_untrimmed_pair_sum(n, t):
+    # budget 0 trims nothing under the weighted rule: the value is, bit
+    # for bit, the sum of the untrimmed per-pair decompositions
+    mixture = mixed_split_state(n, t, window=0.0)
+    norms = {}
+    total = 0.0
+    for w, l in mixture.sectors:
+        low = min(l, n - l)
+        if low not in norms:
+            s, slack = _entangler_bounds(low, n - low, t, 0.0)
+            assert slack == 0.0
+            norms[low] = s
+        total += w * norms[low] ** 2
+    assert log_negativity_mixed(mixture) == math.log2(total)
+
+
+def test_cached_axis_trims_are_read_only():
+    _leading_axis.cache_clear()
+    for n, budget in ((250, 5e-31), (251, 1e-9), (7, 0.0)):
+        u, wa, _, _ = _leading_axis(n, budget)
+        assert _leading_axis(n, budget)[0] is u
+        for vector in (u, wa):
+            assert not vector.flags.writeable
+            with pytest.raises(ValueError):
+                vector[0] = 1
+    assert _leading_axis.cache_info().maxsize is not None

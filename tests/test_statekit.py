@@ -428,6 +428,26 @@ def test_recorded_mixture_validates_sectors():
         SplitMixedState._twisted(4, 0.1, [(0.5, 5)])  # no such sector
 
 
+@pytest.mark.parametrize("n", [1350, 2000, 10000])
+@pytest.mark.parametrize("window", [1e-12, 0.0])
+def test_mixture_window_stops_before_underflowed_weights(n, window):
+    # from n = 1350 the float weights sum short of 1 by more than the
+    # default window, and from n = 1075 the outermost underflow to 0.0;
+    # the window stops at the first of those instead of raising
+    mix = mixed_split_state(n, 0.01, window=window)
+    lefts = [l for _, l in mix.sectors]
+    assert all(w > 0.0 for w, _ in mix.sectors)
+    assert lefts == list(range(lefts[0], lefts[-1] + 1))
+    assert lefts[0] + lefts[-1] == n
+    assert lefts[0] > 0
+    assert 1.0 - 1e-9 <= mix.retained_mass <= 1.0 + 1e-9
+
+
+def test_mixture_keeps_every_sector_while_no_weight_underflows():
+    assert len(mixed_split_state(1074, 0.3, window=0.0).sectors) == 1075
+    assert len(mixed_split_state(1075, 0.3, window=0.0).sectors) < 1076
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_mixture_rejects_non_finite_time(t):
     with pytest.raises(ValueError):
