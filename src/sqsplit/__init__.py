@@ -18,12 +18,9 @@ from .entangle import (
 from .observables import (
     DensityMatrix,
     MomentSet,
-    SpinLabel,
-    apply_spin,
     moments,
     project_right_fock,
     reduced_density_left,
-    right_outcome_distribution,
     rotate_moments,
 )
 from .specfun import (
@@ -90,14 +87,11 @@ __all__ = [
     "effective_evolution",
     "mixed_split_state",
     # observables
-    "SpinLabel",
     "MomentSet",
     "DensityMatrix",
-    "apply_spin",
     "moments",
     "rotate_moments",
     "reduced_density_left",
-    "right_outcome_distribution",
     "project_right_fock",
     # entanglement
     "SchmidtSpectrum",

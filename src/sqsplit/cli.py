@@ -33,7 +33,11 @@ results are written in input order, so --threads never changes a byte.
 Nor does the BLAS library's own thread count change a criteria or
 steering file: mixed-mode moments are closed forms with no BLAS
 reduction, and one conditional sector's moments (n = 2000) came out the
-same under one and two OpenBLAS threads.  Wigner values come from BLAS matrix products whose
+same under one and two OpenBLAS threads.  Nor does it change a
+conditional entanglement file: its sector is decomposed from the real
+entangler parts C and S, whose singular values came out the same under
+one and two OpenBLAS threads at n = 400, where those of the complex
+amplitude matrix differed.  Wigner values come from BLAS matrix products whose
 summation order may follow that thread count (OPENBLAS_NUM_THREADS):
 between one and two OpenBLAS threads, 1,088 of the 65,341 cells of an
 n = 40 lattice differ by up to 4.4e-16.
@@ -53,7 +57,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entangle import _DEFICIT_MAX, log_negativity_mixed, log_negativity_pure
+from .entangle import _DEFICIT_MAX, _entangler_bounds, log_negativity_mixed
 # unused here; kept because perfbench's criteria workload patches sqsplit.cli.rotate_moments
 from .observables import moments, rotate_moments  # noqa: F401
 from .statekit import (
@@ -255,7 +259,8 @@ def run_entanglement_sweep(cfg):
 
     In mixed mode the --epsilon window may drop at most _DEFICIT_MAX
     (1e-9) of the mixture, which log_negativity_mixed counts as product
-    states.
+    states.  In conditional mode ||psi||_* of the sector comes, untrimmed,
+    from its real entangler parts C and S, as a mixture's sector pair's.
     """
     if cfg.mode == "mixed":
         if cfg.n > _MIXED_N_MAX:
@@ -273,8 +278,8 @@ def run_entanglement_sweep(cfg):
         if cfg.mode == "mixed":
             state = mixed_split_state(cfg.n, t, window=cfg.epsilon)
             return t, log_negativity_mixed(state)
-        state = effective_evolution(cfg.nl, cfg.n - cfg.nl, t)
-        return t, log_negativity_pure(state)
+        s, _ = _entangler_bounds(cfg.nl, cfg.n - cfg.nl, t, 0.0)
+        return t, 2.0 * math.log2(s)
 
     return _parallel_map(one, cfg.time_grid(), cfg.threads)
 

@@ -65,11 +65,12 @@ class SchmidtSpectrum:
 
     def __post_init__(self):
         lam = self.coefficients
-        if np.any(lam < -1e-14):
+        # each check is written so that a NaN or inf coefficient fails it
+        if not np.all(lam >= -1e-14):
             raise ValueError("Schmidt coefficients must be nonnegative")
-        if np.any(np.diff(lam) > 1e-12):
+        if not np.all(np.diff(lam) <= 1e-12):
             raise ValueError("Schmidt coefficients must be sorted nonincreasing")
-        if abs(float(np.sum(lam * lam)) - 1.0) > 1e-10:
+        if not abs(float(np.sum(lam * lam)) - 1.0) <= 1e-10:
             raise ValueError("squared Schmidt coefficients must sum to 1")
 
 
@@ -89,13 +90,13 @@ def log_negativity_pure(state):
     return 2.0 * math.log2(float(np.sum(lam)))
 
 
-# Squared norm the bracket may drop from the heaviest block before its
-# SVD.  A block (or mirror pair) of weight w gets _TRIM_BUDGET
-# (w_max / w)^2, at most _TRIM_CAP, so every block's weighted slack
-# w sqrt(d) is the heaviest block's, far below the width the truncation
-# window already leaves: the trim widens the bracket only at roundoff
-# level, and a light block runs a smaller SVD.  The cap keeps a block of
-# vanishing weight from a slack larger than its own norm.
+# Squared norm the bracket may drop from the heaviest mirror pair before
+# its SVD.  A pair of summed weight w gets _TRIM_BUDGET (w_max / w)^2, at
+# most _TRIM_CAP, so every pair's weighted slack w sqrt(d) is the
+# heaviest pair's, far below the width the truncation window already
+# leaves: the trim widens the bracket only at roundoff level, and a
+# light pair runs a smaller SVD.  The cap keeps a pair of vanishing
+# weight from a slack larger than its own norm.
 _TRIM_BUDGET = 1e-30
 _TRIM_CAP = 1e-8
 
@@ -114,33 +115,6 @@ def _trim_budgets(weights, budget):
     top = max(weights)
     cap = max(budget, _TRIM_CAP)
     return [min(cap, budget * (top / w) * (top / w)) for w in weights]
-
-
-def _nuclear_norm_bounds(psi, budget):
-    """(s, slack) with s <= ||psi||_* <= s + slack.
-
-    The smallest-norm rows and columns are dropped while their summed
-    squared norm d stays <= budget, and s is the nuclear norm of the
-    kept submatrix.  A compression never raises singular values, so s
-    is a lower bound.  The dropped part has Frobenius norm <= sqrt(d)
-    and rank r <= #dropped rows + #dropped columns, so its nuclear norm,
-    and with it the gap, is at most sqrt(r d).  budget = 0 keeps the
-    whole matrix and the slack is exactly 0.
-    """
-    slack = 0.0
-    if budget > 0.0:
-        abs2 = psi.real**2 + psi.imag**2
-        norms = np.concatenate((abs2.sum(axis=1), abs2.sum(axis=0)))
-        order = np.argsort(norms, kind="stable")
-        n_drop = int(np.searchsorted(np.cumsum(norms[order]), budget, side="right"))
-        if n_drop:
-            m, n = psi.shape
-            keep = np.ones(m + n, dtype=bool)
-            keep[order[:n_drop]] = False
-            slack = math.sqrt(min(m, n, n_drop) * float(np.sum(norms[~keep])))
-            psi = psi[np.ix_(keep[:m], keep[m:])]
-    lam = np.linalg.svd(psi, compute_uv=False)
-    return float(np.sum(lam)), slack
 
 
 def _phase_table(top, t):
@@ -249,21 +223,22 @@ def _block_trace_norms(mixture, budget=0.0):
     """(weight, s, slack) per block, s <= ||psi||_* <= s + slack.
 
     The block's trace-norm term in ||rho^{T_L}||_1 is weight ||psi||_*^2.
-    budget is the squared norm the heaviest block may drop; every other
-    block gets budget (w_max / w)^2, capped (_trim_budgets), so that
-    w sqrt(d), and with it the block's share of the bracket width, is
-    the heaviest block's.  A mixture that records its twisting time is
-    never built: each mirror pair min(N_L, N_R) is bounded once, under
-    the budget of its summed weight, from its real entangler parts C
-    and S, gathered from one phase table sized to the largest kept uv,
-    and each block keeps its own weight.  A mixture assembled from
-    arbitrary blocks is decomposed block by block, each under the
-    budget of its own weight.
+    A mixture that records its twisting time is never built: each
+    mirror pair min(N_L, N_R) is bounded once from its real entangler
+    parts C and S, gathered from one phase table sized to the largest
+    kept uv, and each block keeps its own weight.  budget is the squared
+    norm the heaviest pair may drop; every other pair gets budget
+    (w_max / w)^2 of its summed weight, capped (_trim_budgets), so that
+    w sqrt(d), and with it the pair's share of the bracket width, is
+    the heaviest pair's.  A mixture assembled from arbitrary blocks is
+    decomposed block by block, each whole: s is its exact nuclear norm
+    and the slack is 0 at any budget.
     """
     if mixture.t is None:
-        blocks = mixture.blocks
-        budgets = _trim_budgets([w for w, _ in blocks], budget)
-        return [(w, *_nuclear_norm_bounds(b.psi, d)) for (w, b), d in zip(blocks, budgets)]
+        return [
+            (w, float(np.sum(np.linalg.svd(b.psi, compute_uv=False))), 0.0)
+            for w, b in mixture.blocks
+        ]
     n = mixture.n_total
     pairs = {}
     for weight, n_left in mixture.sectors:
@@ -333,23 +308,23 @@ def log_negativity_bracket(mixture):
 
     Missing sectors contribute a trace-norm factor between 1 (product)
     and min(N_L, N_R) + 1 (maximally entangled), weighted by their
-    untruncated probabilities.  Present blocks are trimmed before their
-    SVD, dropping a squared norm d: the kept submatrix's nuclear norm s
-    bounds the block's from below and s + sqrt(r d) from above, r the
-    rank the dropped rows and columns can hold, so the lower sum takes
-    p s^2 and the upper p (s + sqrt(r d))^2.  The heaviest block (or
-    mirror pair, weights summed) may drop d <= 1e-30 and one of weight
-    p drops d <= 1e-30 (p_max / p)^2, at most 1e-8, so each term's
-    slack p sqrt(d) is the heaviest one's and a light block runs a
-    smaller SVD.  Mirror blocks share one decomposition.  For a mixture
-    that records t the trim keeps the leading block |u| <= U, |v| <= V
+    untruncated probabilities.  In a mixture that records t, each mirror
+    pair of present blocks shares one decomposition and is trimmed
+    before its SVD, dropping a squared norm d: the kept submatrix's
+    nuclear norm s bounds the block's from below and s + sqrt(r d) from
+    above, r the rank the dropped rows and columns can hold, so the
+    lower sum takes p s^2 and the upper p (s + sqrt(r d))^2.  The
+    heaviest pair (weights summed) may drop d <= 1e-30 and one of
+    weight p drops d <= 1e-30 (p_max / p)^2, at most 1e-8, so each
+    term's slack p sqrt(d) is the heaviest one's and a light pair runs
+    a smaller SVD.  The trim keeps the leading block |u| <= U, |v| <= V
     of the entangler parts C and S, U and V read off the weight tails
     alone (row u of C (+) S has squared norm w_u^2 a_u^2 at every t),
-    with r <= 2 min(m, n, dropped rows + dropped columns) for m x n parts;
-    the entries of the kept block come from one table of cos(2tm) and
-    sin(2tm) per mixture, m = uv.  Blocks of a mixture assembled from
-    arbitrary blocks drop their smallest rows and columns, with r <=
-    min(m, n, dropped rows + dropped columns).
+    with r <= 2 min(m, n, dropped rows + dropped columns) for m x n
+    parts; the entries of the kept block come from one table of
+    cos(2tm) and sin(2tm) per mixture, m = uv.  A mixture assembled
+    from arbitrary blocks is not trimmed: each block is decomposed
+    whole, s is exact and the slack 0.
 
     Both sums are then widened by the relative roundoff margin
     (K + 4 M) eps, K the number of terms and M the largest m n of a
@@ -387,7 +362,8 @@ def _partial_transpose_trace_norm(rho, d_left, d_right):
     pt = np.transpose(rho.reshape(d_left, d_right, d_left, d_right), (2, 1, 0, 3))
     pt = pt.reshape(d, d)
     scale = max(1.0, float(np.abs(pt).max()))
-    if np.abs(pt - pt.conj().T).max() > 1e-10 * scale:
+    # written so that a NaN or inf entry fails it
+    if not np.abs(pt - pt.conj().T).max() <= 1e-10 * scale:
         raise AssertionError("partial transpose lost Hermiticity")
     return float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
 

@@ -15,52 +15,27 @@ closed forms of the one-axis-twisted coherent state.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .statekit import ConditionalState, SplitFullState, SplitMixedState, StateVector
+from .statekit import _PER_N_CACHE, ConditionalState, SplitFullState, SplitMixedState, StateVector
 
 __all__ = [
-    "SpinLabel",
     "MomentSet",
     "DensityMatrix",
-    "apply_spin",
     "moments",
     "rotate_moments",
     "reduced_density_left",
     "project_right_fock",
-    "right_outcome_distribution",
 ]
 
 _COMPONENTS = ("x", "y", "z")
 _WELLS = ("left", "right")
 
 
-@dataclass(frozen=True)
-class SpinLabel:
-    """Which collective spin component to apply.
-
-    axis is one of 'x', 'y', 'z', 'yprime', 'zprime'; the primed axes
-    are the rotated quadratures y' = y cos(theta) - z sin(theta),
-    z' = y sin(theta) + z cos(theta) and require theta.
-    """
-
-    axis: str
-    well: str
-    theta: float | None = None
-
-    def __post_init__(self):
-        if self.well not in _WELLS:
-            raise ValueError(f"unknown well {self.well!r}")
-        if self.axis not in ("x", "y", "z", "yprime", "zprime"):
-            raise ValueError(f"unknown axis {self.axis!r}")
-        if self.axis in ("yprime", "zprime") and self.theta is None:
-            raise ValueError("primed axes need a rotation angle theta")
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_N_CACHE)
 def _ladder(n):
     """sqrt((k+1)(n-k)) for k = 0..n-1 (raising coefficients)."""
     k = np.arange(n)
@@ -88,25 +63,6 @@ def _apply_component(psi, axis, well, n_left, n_right):
         out[1:] += -1j * u * psi[:-1]
         out[:-1] += 1j * u * psi[1:]
     return out
-
-
-def apply_spin(label, state):
-    """Apply one collective spin component to a ConditionalState.
-
-    Returns the (unnormalized) amplitude matrix of the image.  Primed
-    axes are formed as linear combinations of the y and z images, so a
-    single code path serves every analysis angle.
-    """
-    psi = state.psi
-    nl, nr = state.n_left, state.n_right
-    if label.axis in ("x", "y", "z"):
-        return _apply_component(psi, label.axis, label.well, nl, nr)
-    sy = _apply_component(psi, "y", label.well, nl, nr)
-    sz = _apply_component(psi, "z", label.well, nl, nr)
-    c, s = math.cos(label.theta), math.sin(label.theta)
-    if label.axis == "zprime":
-        return s * sy + c * sz
-    return c * sy - s * sz
 
 
 @dataclass(frozen=True)
@@ -266,11 +222,8 @@ def _twist_moments(n, t):
     )
 
 
-def moments(state, theta=None):
+def moments(state):
     """MomentSet of a ConditionalState, SplitFullState or SplitMixedState.
-
-    With theta given, the returned moments are expressed on the rotated
-    axes (x, y', z') of both wells.
 
     A SplitFullState is read from the ensemble that entered the
     splitter.  For twisted_split(n, t) that ensemble is the twisted
@@ -310,8 +263,6 @@ def moments(state, theta=None):
         raise TypeError(
             "moments expects a ConditionalState, SplitFullState or SplitMixedState"
         )
-    if theta is not None:
-        ms = rotate_moments(ms, theta)
     return ms
 
 
@@ -394,11 +345,12 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > 1e-10 * scale:
+        # each check is written so that a NaN or inf entry fails it
+        if not np.abs(m - m.conj().T).max() <= 1e-10 * scale:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
+        if not abs(np.trace(m).real - 1.0) <= 1e-10:
             raise ValueError("density matrix trace must be 1")
-        if float(np.linalg.eigvalsh(m).min()) < -1e-10:
+        if not float(np.linalg.eigvalsh(m).min()) >= -1e-10:
             raise ValueError("density matrix is not positive semidefinite")
 
     @property
@@ -410,17 +362,6 @@ def reduced_density_left(state):
     """Trace out the right well: rho_L = psi psi^dagger."""
     rho = state.psi @ state.psi.conj().T
     return DensityMatrix(rho)
-
-
-def right_outcome_distribution(state):
-    """Probabilities of measuring k_r atoms of mode a in the right well.
-
-    These are the squared-amplitude column masses C(N_R,k_r)/2^{N_R} for
-    canonically split states; summing the closed-form conditional
-    amplitudes is the only definition consistent with normalization and
-    with project_right_fock probabilities.
-    """
-    return (np.abs(state.psi) ** 2).sum(axis=0)
 
 
 def project_right_fock(state, k_r):

@@ -237,7 +237,8 @@ class QuadratureRule:
     def __post_init__(self):
         if self.phi_count < 1:
             raise ValueError("phi_count must be positive")
-        if abs(float(np.sum(self.weights)) - 2.0) > 1e-12:
+        # written so that a NaN or inf weight fails it
+        if not abs(float(np.sum(self.weights)) - 2.0) <= 1e-12:
             raise ValueError("quadrature weights must integrate cos(theta) over [-1, 1]")
 
     @property

@@ -181,7 +181,8 @@ def _evaluate(coeffs, two_j, thetas, phis):
     phase = np.exp(1j * np.outer(np.arange(-k_max, k_max + 1), phis))
     w = f.T @ phase
     residue = float(np.abs(w.imag).max())
-    if residue > 1e-10 * max(1.0, float(np.abs(w.real).max())):
+    # written so that a NaN residue fails it
+    if not residue <= 1e-10 * max(1.0, float(np.abs(w.real).max())):
         raise ValueError(f"Wigner values are not real (imaginary residue {residue})")
     return w.real
 
@@ -196,7 +197,8 @@ def wigner_from_density(rho, rule=None):
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("density matrix must be square")
     scale = max(1.0, float(np.abs(entries).max()))
-    if np.abs(entries - entries.conj().T).max() > 1e-10 * scale:
+    # written so that a NaN or inf entry fails it
+    if not np.abs(entries - entries.conj().T).max() <= 1e-10 * scale:
         raise ValueError("density matrix must be Hermitian")
     two_j = entries.shape[0] - 1
     if rule is None:

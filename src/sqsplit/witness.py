@@ -119,12 +119,13 @@ def hermitian_min_eigenvalue(m):
     if m.shape[0] == 0:
         raise ValueError("matrix must be nonempty")
     scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.conj().T).max() > 1e-10 * scale:
+    # written so that a NaN or inf entry fails it
+    if not np.abs(m - m.conj().T).max() <= 1e-10 * scale:
         raise ValueError("matrix must be Hermitian")
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def covariance_criterion(ms, n=None):
+def covariance_criterion(ms):
     """Partial-transpose test on the 6x6 moment matrices; < 0 is entangled.
 
     The transpose of the right well flips the sign of S_R^y moments
@@ -132,12 +133,10 @@ def covariance_criterion(ms, n=None):
     separability condition PT(V) + (i/2) PT(Omega) >= 0 is checked by
     the minimum eigenvalue, reported divided by N.
     """
-    if n is None:
-        n = ms.n_total
     # + 0.0 turns the -0.0 the mask makes of a 0.0 entry back into the
     # 0.0 that the products Q V Q form, so LAPACK reads the same bits
     matrix = (ms.V * _PT_V + 0.0) + 0.5j * (ms.Omega * _PT_OMEGA)
-    return hermitian_min_eigenvalue(matrix) / n
+    return hermitian_min_eigenvalue(matrix) / ms.n_total
 
 
 def squeezing_angle(n, t):
@@ -262,16 +261,14 @@ def giovannetti(ms):
     return val, g_y, g_z
 
 
-def wineland_xi(ms, n=None):
+def wineland_xi(ms):
     """Squeezing parameter N Var(S_tot^z') / <S_tot^x>^2; < 1 is squeezed."""
-    if n is None:
-        n = ms.n_total
     v, means = ms.V.tolist(), ms.means.tolist()
     var_tot = v[_LZ][_LZ] + v[_RZ][_RZ] + 2.0 * v[_LZ][_RZ]
     mx = means[_LX] + means[_RX]
     if abs(mx) <= _denominator_floor(ms):
         raise UndefinedWitnessError("mean transverse polarization too small")
-    return n * var_tot / (mx * mx)
+    return ms.n_total * var_tot / (mx * mx)
 
 
 def _steering_gain(v, steer, target):

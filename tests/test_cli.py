@@ -253,18 +253,21 @@ def test_entanglement_single_step_is_t_min():
 
 
 def test_entanglement_conditional_mode_matches_library():
-    code, out, _ = run_cli(
-        [
-            "entanglement",
-            "--n", "10", "--mode", "conditional", "--nl", "5",
-            "--steps", "3", "--t-min", "0.1", "--t-max", "0.3",
-        ]
-    )
-    assert code == 0
-    _, _, rows = parse_csv(out)
-    for t, value in rows:
-        want = log_negativity_pure(effective_evolution(5, 5, t))
-        assert abs(value - want) < 1e-12
+    # the sweep decomposes the real entangler parts; the Schmidt route
+    # on the complex amplitudes is the oracle
+    for n, nl in ((10, 5), (11, 4), (400, 137)):
+        code, out, _ = run_cli(
+            [
+                "entanglement",
+                "--n", str(n), "--mode", "conditional", "--nl", str(nl),
+                "--steps", "3", "--t-min", "0.1", "--t-max", "0.3",
+            ]
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        for t, value in rows:
+            want = log_negativity_pure(effective_evolution(nl, n - nl, t))
+            assert abs(value - want) < 1e-12 * max(1.0, abs(want))
 
 
 def test_entanglement_conditional_sector_ordering():
@@ -396,8 +399,10 @@ def test_criteria_at_n100000_runs_in_a_second():
     assert elapsed < 1.0
 
 
-def test_criteria_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # fresh processes, since BLAS reads its thread count at load time
+def _blas_thread_outputs(tmp_path, argv):
+    """The --out bytes of one command line under one and two BLAS
+    threads, each in a fresh process, since BLAS reads its thread count
+    at load time."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sqsplit.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     blobs = []
@@ -407,14 +412,32 @@ def test_criteria_bytes_do_not_depend_on_blas_threads(tmp_path):
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
         proc = subprocess.run(
-            [sys.executable, "-m", "sqsplit.cli", "criteria", "--n", "20000", "--steps", "5",
-             "--t-max", "0.002", "--out", str(out)],
+            [sys.executable, "-m", "sqsplit.cli", *argv, "--out", str(out)],
             env=env,
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())
+    return blobs
+
+
+def test_criteria_bytes_do_not_depend_on_blas_threads(tmp_path):
+    blobs = _blas_thread_outputs(
+        tmp_path, ["criteria", "--n", "20000", "--steps", "5", "--t-max", "0.002"]
+    )
+    assert blobs[0] == blobs[1]
+
+
+def test_conditional_entanglement_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the sector's singular values come from its real entangler parts;
+    # the complex amplitude matrix's moved in the last bits with the
+    # BLAS thread count at this size
+    blobs = _blas_thread_outputs(
+        tmp_path,
+        ["entanglement", "--n", "400", "--mode", "conditional", "--nl", "200",
+         "--steps", "3", "--t-max", "0.01"],
+    )
     assert blobs[0] == blobs[1]
 
 

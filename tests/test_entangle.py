@@ -14,7 +14,6 @@ from sqsplit.entangle import (
     _block_trace_norms,
     _entangler_bounds,
     _leading_axis,
-    _nuclear_norm_bounds,
     _trim_budgets,
     log_negativity_bracket,
     log_negativity_dense,
@@ -193,39 +192,6 @@ def test_entanglement_curves_over_one_period():
 
 def _nuclear_norm(psi):
     return float(np.sum(np.linalg.svd(psi, compute_uv=False)))
-
-
-def test_trimmed_nuclear_norm_bounds_random_matrices():
-    # rows and columns scaled towards zero get trimmed; the kept
-    # submatrix bounds the nuclear norm from below and the slack
-    # sqrt(r d) closes the gap from above
-    rng = np.random.default_rng(2002)
-    trimmed = 0
-    for _ in range(300):
-        m, n = (int(x) for x in rng.integers(1, 30, size=2))
-        psi = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-        rows = rng.random(m) < 0.3
-        cols = rng.random(n) < 0.3
-        psi[rows] *= 10.0 ** rng.uniform(-18.0, -1.0, size=(int(rows.sum()), 1))
-        psi[:, cols] *= 10.0 ** rng.uniform(-18.0, -1.0, size=int(cols.sum()))
-        budget = 10.0 ** rng.uniform(-32.0, -1.0)
-        full = _nuclear_norm(psi)
-        s, slack = _nuclear_norm_bounds(psi, budget)
-        assert s <= full * (1.0 + 1e-12)
-        assert full <= (s + slack) * (1.0 + 1e-12)
-        assert slack <= math.sqrt(min(m, n) * budget)
-        trimmed += slack > 0.0
-    assert trimmed > 100
-    # the slack is tight when each dropped row holds one singular value
-    eps = 1e-3
-    psi = np.diag([1.0, eps, eps, eps]).astype(complex)
-    s, slack = _nuclear_norm_bounds(psi, 3.5 * eps**2)
-    assert s == 1.0
-    assert abs(slack - 3.0 * eps) < 1e-15
-    assert abs(_nuclear_norm(psi) - (s + slack)) < 1e-15
-    # no budget, no trim: the plain singular-value sum
-    psi = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-    assert _nuclear_norm_bounds(psi, 0.0) == (_nuclear_norm(psi), 0.0)
 
 
 @pytest.mark.parametrize("n", [120, 200])
@@ -589,15 +555,15 @@ def test_weighted_trim_certifies_every_block_at_n800():
     assert low <= math.log2(sum(w * s**2 for w, s, _ in exact)) <= high
 
 
-def test_arbitrary_blocks_share_the_weighted_trim():
+def test_arbitrary_blocks_are_decomposed_whole():
+    # a hand-built mixture is never trimmed: under the bracket's budget
+    # each block's s is its exact nuclear norm and its slack is 0
     blocks = mixed_split_state(40, 0.3, window=0.0).blocks
     mixture = SplitMixedState(40, blocks)
-    budgets = _trim_budgets([w for w, _ in blocks], _TRIM_BUDGET)
     terms = _block_trace_norms(mixture, _TRIM_BUDGET)
-    for (w, b), d, (w_got, s, slack) in zip(blocks, budgets, terms):
+    for (w, b), (w_got, s, slack) in zip(blocks, terms):
         assert w_got == w
-        assert (s, slack) == _nuclear_norm_bounds(b.psi, d)
-    assert any(d > _TRIM_BUDGET for d in budgets)
+        assert (s, slack) == (_nuclear_norm(b.psi), 0.0)
     exact = log_negativity_mixed(mixture)
     low, high = log_negativity_bracket(mixture)
     assert low <= exact <= high

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from sqsplit.observables import (
     DensityMatrix,
     MomentSet,
-    SpinLabel,
-    apply_spin,
+    _apply_component,
     moments,
     project_right_fock,
     reduced_density_left,
-    right_outcome_distribution,
     rotate_moments,
 )
 from sqsplit.statekit import (
@@ -60,20 +58,15 @@ def _random_conditional(n_left, n_right, seed):
     return ConditionalState(n_left, n_right, psi)
 
 
-def test_spin_label_validation():
-    with pytest.raises(ValueError):
-        SpinLabel("x", "middle")
-    with pytest.raises(ValueError):
-        SpinLabel("w", "left")
-    with pytest.raises(ValueError):
-        SpinLabel("yprime", "left")  # primed axes need theta
-    SpinLabel("yprime", "left", theta=0.3)
+def _apply(axis, well, state):
+    """The stencil image of one spin component, as moments() forms it."""
+    return _apply_component(state.psi, axis, well, state.n_left, state.n_right)
 
 
 def test_apply_spin_single_atom_raise():
     psi = np.array([[1.0], [0.0]], dtype=complex)
     state = ConditionalState(1, 0, psi)
-    out = apply_spin(SpinLabel("x", "left"), state)
+    out = _apply("x", "left", state)
     assert np.allclose(out, [[0.0], [1.0]])
 
 
@@ -81,7 +74,7 @@ def test_apply_spin_z_eigenvalue():
     psi = np.zeros((11, 1), dtype=complex)
     psi[7, 0] = 1.0
     state = ConditionalState(10, 0, psi)
-    out = apply_spin(SpinLabel("z", "left"), state)
+    out = _apply("z", "left", state)
     assert np.allclose(out, 4.0 * psi)
 
 
@@ -89,21 +82,9 @@ def test_apply_spin_z_eigenvalue():
 @pytest.mark.parametrize("well", ["left", "right"])
 def test_apply_spin_matches_dense_operators(axis, well):
     state = _random_conditional(5, 7, seed=42)
-    got = apply_spin(SpinLabel(axis, well), state)
+    got = _apply(axis, well, state)
     want = _dense_apply(axis, well, state)
     assert np.allclose(got, want, atol=1e-12)
-
-
-def test_apply_spin_primed_axes():
-    state = _random_conditional(4, 4, seed=9)
-    theta = 0.7
-    sy = apply_spin(SpinLabel("y", "right"), state)
-    sz = apply_spin(SpinLabel("z", "right"), state)
-    yp = apply_spin(SpinLabel("yprime", "right", theta), state)
-    zp = apply_spin(SpinLabel("zprime", "right", theta), state)
-    c, s = math.cos(theta), math.sin(theta)
-    assert np.allclose(yp, c * sy - s * sz, atol=1e-13)
-    assert np.allclose(zp, s * sy + c * sz, atol=1e-13)
 
 
 def test_commutator_identity_on_random_states():
@@ -111,9 +92,9 @@ def test_commutator_identity_on_random_states():
     for seed in range(4):
         state = _random_conditional(6, 5, seed=seed)
         for well in ("left", "right"):
-            x_img = apply_spin(SpinLabel("x", well), state)
-            y_img = apply_spin(SpinLabel("y", well), state)
-            z_img = apply_spin(SpinLabel("z", well), state)
+            x_img = _apply("x", well, state)
+            y_img = _apply("y", well, state)
+            z_img = _apply("z", well, state)
             wrap = lambda m: types.SimpleNamespace(psi=m, n_left=6, n_right=5)
             xy = _dense_apply("x", well, wrap(y_img))
             yx = _dense_apply("y", well, wrap(x_img))
@@ -151,9 +132,9 @@ def test_moments_omega_structure():
 def test_variance_consistency_with_double_application():
     state = effective_evolution(5, 6, 0.21)
     ms = moments(state)
-    labels = [SpinLabel(a, w) for w in ("left", "right") for a in ("x", "y", "z")]
-    for i, label in enumerate(labels):
-        img = apply_spin(label, state)
+    labels = [(a, w) for w in ("left", "right") for a in ("x", "y", "z")]
+    for i, (axis, well) in enumerate(labels):
+        img = _apply(axis, well, state)
         raw = np.vdot(img, img).real  # <A psi | A psi> = <A^2>
         mean = np.vdot(state.psi, img).real
         assert abs(ms.V[i, i] - (raw - mean * mean)) < 1e-10
@@ -340,15 +321,15 @@ def test_rotate_moments_congruence():
     ms = moments(state)
     theta = 0.83
     rot = rotate_moments(ms, theta)
-    both = moments(state, theta=theta)
-    assert np.allclose(rot.V, both.V, atol=1e-13)
-    assert np.allclose(rot.means, both.means, atol=1e-13)
-    # rotated variance agrees with directly applying the primed operator
-    zp = apply_spin(SpinLabel("zprime", "left", theta), state)
-    raw = np.vdot(zp, zp).real
-    mean = np.vdot(state.psi, zp).real
-    assert abs(rot.V[2, 2] - (raw - mean * mean)) < 1e-10
-    assert abs(rot.means[2] - mean) < 1e-12
+    # rotated variances agree with directly applying the primed operators
+    # y' = cos(theta) y - sin(theta) z and z' = sin(theta) y + cos(theta) z
+    c, s = math.cos(theta), math.sin(theta)
+    sy, sz = _apply("y", "left", state), _apply("z", "left", state)
+    for i, primed in ((1, c * sy - s * sz), (2, s * sy + c * sz)):
+        raw = np.vdot(primed, primed).real
+        mean = np.vdot(state.psi, primed).real
+        assert abs(rot.V[i, i] - (raw - mean * mean)) < 1e-10
+        assert abs(rot.means[i] - mean) < 1e-12
 
 
 def _random_moment_set(seed):
@@ -482,11 +463,13 @@ def test_project_right_fock_errors():
 
 
 def test_right_outcome_distribution():
+    # the right-well outcome law is the column mass of the amplitudes,
+    # C(N_R, k_r) / 2^N_R at every t
     state = effective_evolution(6, 10, 0.27)
-    dist = right_outcome_distribution(state)
+    dist = (np.abs(state.psi) ** 2).sum(axis=0)
     assert abs(dist.sum() - 1.0) < 1e-12
     assert dist.argmax() == 5
-    flat = right_outcome_distribution(effective_evolution(6, 10, 0.0))
+    flat = (np.abs(effective_evolution(6, 10, 0.0).psi) ** 2).sum(axis=0)
     assert np.allclose(dist, flat, atol=1e-13)
     # projection probabilities reproduce the distribution exactly
     probs = [project_right_fock(state, k)[0] for k in range(11)]

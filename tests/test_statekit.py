@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqsplit import statekit
+from sqsplit import observables, statekit
 from sqsplit.statekit import (
     ConditionalState,
     SplitMixedState,
@@ -162,16 +162,24 @@ def _split_oracle_sector(state, n_left):
     return out
 
 
+def _sector_masses(full):
+    """Squared norm of every left-atom-number sector of a split state."""
+    return np.array(
+        [np.vdot(a, a).real for a in map(full.sector, range(full.n_total + 1))]
+    )
+
+
 def test_split_single_atom():
     state = StateVector(1, np.array([0.0, 1.0], dtype=complex))
     full = split(state)
-    assert abs(full.sector_mass(0) - 0.5) < 1e-15
-    assert abs(full.sector_mass(1) - 0.5) < 1e-15
+    masses = _sector_masses(full)
+    assert abs(masses[0] - 0.5) < 1e-15
+    assert abs(masses[1] - 0.5) < 1e-15
 
 
 def test_split_total_mass_random_input():
     full = split(_random_state(9, seed=8))
-    assert abs(full.sector_masses().sum() - 1.0) < 1e-12
+    assert abs(_sector_masses(full).sum() - 1.0) < 1e-12
 
 
 def test_split_matches_symbolic_expansion():
@@ -189,7 +197,7 @@ def test_split_sector_masses_binomial_for_twisted_coherent():
     weights = np.array([math.comb(n, l) / 2**n for l in range(n + 1)])
     for t in (0.0, 0.37, math.pi / 8):
         full = split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t))
-        assert np.allclose(full.sector_masses(), weights, atol=1e-13)
+        assert np.allclose(_sector_masses(full), weights, atol=1e-13)
 
 
 def test_split_sector_range_check():
@@ -312,7 +320,7 @@ def test_phase_periodicity():
 def test_unitarity_chain():
     state = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, 20), 0.77)
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
-    assert abs(split(state).sector_masses().sum() - 1.0) < 1e-12
+    assert abs(_sector_masses(split(state)).sum() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +377,7 @@ def test_mixed_state_type_guards():
 @given(n=st.integers(0, 60), t=st.floats(0.0, math.pi / 4))
 def test_sector_masses_sum_to_one(n, t):
     full = split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t))
-    masses = full.sector_masses()
+    masses = _sector_masses(full)
     assert abs(float(np.sum(masses)) - 1.0) < 1e-12
     weights = [w for w, _ in mixed_split_state(n, t, window=0.0).blocks]
     assert np.allclose(masses, weights, rtol=1e-10, atol=0.0)
@@ -481,3 +489,18 @@ def test_twisted_split_records_n_and_t_and_builds_its_source_lazily(monkeypatch)
 def test_twisted_split_rejects_bad_input(n, t):
     with pytest.raises(ValueError):
         twisted_split(n, t)
+
+
+def test_per_n_caches_are_bounded():
+    # one N = 500 mixture's distinct well populations fit the caches
+    mixture = mixed_split_state(500, 0.01)
+    wells = {l for _, l in mixture.sectors} | {500 - l for _, l in mixture.sectors}
+    assert 150 <= len(wells) <= statekit._PER_N_CACHE
+    # more distinct n than the bound leave at most the bound cached
+    caches = (statekit._coherent_half_weights, statekit._imbalance_sq, observables._ladder)
+    for cache in caches:
+        for n in range(statekit._PER_N_CACHE + 64):
+            cache(n)
+        info = cache.cache_info()
+        assert info.maxsize == statekit._PER_N_CACHE
+        assert info.currsize <= info.maxsize
