@@ -267,7 +267,7 @@ def test_entanglement_conditional_mode_matches_library():
         _, _, rows = parse_csv(out)
         for t, value in rows:
             want = log_negativity_pure(effective_evolution(nl, n - nl, t))
-            assert abs(value - want) < 1e-12 * max(1.0, abs(want))
+            assert abs(value - want) < 1e-12
 
 
 def test_entanglement_conditional_sector_ordering():

@@ -94,20 +94,6 @@ def test_removed_names_are_gone(module):
     mod = importlib.import_module(module)
     for name in REMOVED[module]:
         assert not hasattr(mod, name), name
-        assert name not in getattr(mod, "__all__", ())
-
-
-def test_removed_methods_and_options_are_gone():
-    full = sqsplit.split(sqsplit.spin_coherent(1.0, 0.0, 2))
-    for name in ("sector_mass", "sector_masses"):
-        assert not hasattr(full, name)
-    ms = sqsplit.moments(full)
-    with pytest.raises(TypeError):
-        sqsplit.moments(full, theta=0.3)
-    with pytest.raises(TypeError):
-        sqsplit.covariance_criterion(ms, n=2)
-    with pytest.raises(TypeError):
-        sqsplit.wineland_xi(ms, n=2)
 
 
 def _module_of(node):
