@@ -10,7 +10,6 @@ spin Wigner functions, and the standard correlation/steering witnesses.
 from .entangle import (
     SchmidtSpectrum,
     log_negativity_bracket,
-    log_negativity_dense,
     log_negativity_mixed,
     log_negativity_pure,
     schmidt,
@@ -28,9 +27,6 @@ from .specfun import (
     gauss_legendre_sphere,
     legendre_table,
     log_binomial,
-    log_factorial,
-    spherical_harmonic,
-    wigner_3j,
 )
 from .statekit import (
     ConditionalState,
@@ -99,7 +95,6 @@ __all__ = [
     "log_negativity_pure",
     "log_negativity_mixed",
     "log_negativity_bracket",
-    "log_negativity_dense",
     # wigner
     "WignerGrid",
     "default_rule",
@@ -122,10 +117,7 @@ __all__ = [
     "hermitian_min_eigenvalue",
     # special functions
     "QuadratureRule",
-    "log_factorial",
     "log_binomial",
-    "wigner_3j",
     "legendre_table",
-    "spherical_harmonic",
     "gauss_legendre_sphere",
 ]

@@ -5,9 +5,9 @@ For a pure conditional state the trace norm of the partial transpose is
 a singular value decomposition of the amplitude matrix.  For the
 sector mixture, blocks with different left atom number stay mutually
 orthogonal under left partial transposition, so the trace norms add
-with their sector weights.  A dense route that materializes the
-density matrix and transposes the left factor explicitly is kept as an
-independent cross-check for small N.
+with their sector weights.  The dense route that materializes the
+density matrix and transposes the left factor explicitly checks both
+from sqsplit._oracles (in `sqsplit verify` and the tests).
 
 The mixture from mixed_split_state is never built.  Its sectors follow
 the paper's picture of the split-then-collapse state: each cloud
@@ -40,12 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import log_binomial
-from .statekit import (
-    ConditionalState,
-    SplitFullState,
-    SplitMixedState,
-    _coherent_half_weights,
-)
+from .statekit import _NORM_TOL, _coherent_half_weights
 
 __all__ = [
     "SchmidtSpectrum",
@@ -53,7 +48,6 @@ __all__ = [
     "log_negativity_pure",
     "log_negativity_mixed",
     "log_negativity_bracket",
-    "log_negativity_dense",
 ]
 
 
@@ -70,7 +64,8 @@ class SchmidtSpectrum:
             raise ValueError("Schmidt coefficients must be nonnegative")
         if not np.all(np.diff(lam) <= 1e-12):
             raise ValueError("Schmidt coefficients must be sorted nonincreasing")
-        if not abs(float(np.sum(lam * lam)) - 1.0) <= 1e-10:
+        # the tolerance of the ConditionalState whose spectrum this is
+        if not abs(float(np.sum(lam * lam)) - 1.0) <= _NORM_TOL:
             raise ValueError("squared Schmidt coefficients must sum to 1")
 
 
@@ -208,7 +203,7 @@ def _entangler_bounds(n_left, n_right, t, budget, table=None, work=None):
     norm = float(flat @ flat)
     kept = (mass_u - drop_u) * (mass_v - drop_v)
     full = mass_u * mass_v
-    if not (abs(norm - kept) <= 1e-9 and abs(full - 1.0) <= 1e-9):
+    if not (abs(norm - kept) <= _NORM_TOL and abs(full - 1.0) <= _NORM_TOL):
         raise ValueError(
             f"conditional state is not normalized (norm^2 = {norm + full - kept})"
         )
@@ -223,22 +218,14 @@ def _block_trace_norms(mixture, budget=0.0):
     """(weight, s, slack) per block, s <= ||psi||_* <= s + slack.
 
     The block's trace-norm term in ||rho^{T_L}||_1 is weight ||psi||_*^2.
-    A mixture that records its twisting time is never built: each
-    mirror pair min(N_L, N_R) is bounded once from its real entangler
-    parts C and S, gathered from one phase table sized to the largest
-    kept uv, and each block keeps its own weight.  budget is the squared
-    norm the heaviest pair may drop; every other pair gets budget
-    (w_max / w)^2 of its summed weight, capped (_trim_budgets), so that
-    w sqrt(d), and with it the pair's share of the bracket width, is
-    the heaviest pair's.  A mixture assembled from arbitrary blocks is
-    decomposed block by block, each whole: s is its exact nuclear norm
-    and the slack is 0 at any budget.
+    The mixture is never built: each mirror pair min(N_L, N_R) is
+    bounded once from its real entangler parts C and S, gathered from
+    one phase table sized to the largest kept uv, and each block keeps
+    its own weight.  budget is the squared norm the heaviest pair may
+    drop; every other pair gets budget (w_max / w)^2 of its summed
+    weight, capped (_trim_budgets), so that w sqrt(d), and with it the
+    pair's share of the bracket width, is the heaviest pair's.
     """
-    if mixture.t is None:
-        return [
-            (w, float(np.sum(np.linalg.svd(b.psi, compute_uv=False))), 0.0)
-            for w, b in mixture.blocks
-        ]
     n = mixture.n_total
     pairs = {}
     for weight, n_left in mixture.sectors:
@@ -262,8 +249,6 @@ def _block_trace_norms(mixture, budget=0.0):
 def _largest_svd_input(mixture):
     """Largest entry count m n of a matrix _block_trace_norms decomposes,
     before any trim."""
-    if mixture.t is None:
-        return max((b.psi.size for _, b in mixture.blocks), default=0)
     n = mixture.n_total
     return max(((l // 2 + 1) * ((n - l) // 2 + 1) for _, l in mixture.sectors), default=0)
 
@@ -322,9 +307,7 @@ def log_negativity_bracket(mixture):
     alone (row u of C (+) S has squared norm w_u^2 a_u^2 at every t),
     with r <= 2 min(m, n, dropped rows + dropped columns) for m x n
     parts; the entries of the kept block come from one table of
-    cos(2tm) and sin(2tm) per mixture, m = uv.  A mixture assembled
-    from arbitrary blocks is not trimmed: each block is decomposed
-    whole, s is exact and the slack 0.
+    cos(2tm) and sin(2tm) per mixture, m = uv.
 
     Both sums are then widened by the relative roundoff margin
     (K + 4 M) eps, K the number of terms and M the largest m n of a
@@ -343,69 +326,3 @@ def log_negativity_bracket(mixture):
     eps = np.finfo(float).eps
     margin = (len(terms) + len(absent) + 4 * _largest_svd_input(mixture)) * eps
     return math.log2(low * (1.0 - margin)), math.log2(high * (1.0 + margin))
-
-
-def _dense_basis(n):
-    """Index map for the full two-well one-species-per-well Fock space:
-    every (well atom number, mode-a count) pair, dim (n+1)(n+2)/2."""
-    index = {}
-    for pop in range(n + 1):
-        for k in range(pop + 1):
-            index[(pop, k)] = len(index)
-    return index
-
-
-def _partial_transpose_trace_norm(rho, d_left, d_right):
-    """||rho^{T_L}||_1 of a density matrix on a d_left x d_right product
-    space, by transposing the left factor explicitly."""
-    d = d_left * d_right
-    pt = np.transpose(rho.reshape(d_left, d_right, d_left, d_right), (2, 1, 0, 3))
-    pt = pt.reshape(d, d)
-    scale = max(1.0, float(np.abs(pt).max()))
-    # written so that a NaN or inf entry fails it
-    if not np.abs(pt - pt.conj().T).max() <= 1e-10 * scale:
-        raise AssertionError("partial transpose lost Hermiticity")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
-
-
-def log_negativity_dense(state, max_n=8):
-    """Dense partial-transpose route, independent of the Schmidt identity.
-
-    Materializes the density matrix, transposes the left factor
-    explicitly, and sums the absolute eigenvalues.  A ConditionalState
-    or SplitMixedState only occupies fixed-(N_L, N_R) subspaces, and the
-    left transpose maps each onto itself, so each subspace is
-    diagonalised on its own.  A SplitFullState is coherent across
-    sectors and needs the full tensor product of the two well spaces.
-    Refuses n_total beyond max_n (default 8).
-    """
-    if not isinstance(state, (ConditionalState, SplitMixedState, SplitFullState)):
-        raise TypeError(
-            "expected a ConditionalState, SplitMixedState or SplitFullState"
-        )
-    n = state.n_total
-    if n > max_n:
-        raise ValueError(f"dense route limited to n_total <= {max_n}")
-    if isinstance(state, SplitFullState):
-        # coherent superposition over sectors, still one pure vector
-        index = _dense_basis(n)
-        d = len(index)
-        vec = np.zeros(d * d, dtype=complex)
-        for n_left in range(n + 1):
-            psi = state.sector(n_left)
-            for k_l in range(n_left + 1):
-                il = index[(n_left, k_l)]
-                for k_r in range(n - n_left + 1):
-                    vec[il * d + index[(n - n_left, k_r)]] = psi[k_l, k_r]
-        return math.log2(_partial_transpose_trace_norm(np.outer(vec, vec.conj()), d, d))
-    blocks = [(1.0, state)] if isinstance(state, ConditionalState) else state.blocks
-    sectors = {}
-    for weight, block in blocks:
-        vec = block.psi.reshape(-1)
-        rho = sectors.get(block.n_left, 0.0)
-        sectors[block.n_left] = rho + weight * np.outer(vec, vec.conj())
-    total = sum(
-        _partial_transpose_trace_norm(rho, n_left + 1, n - n_left + 1)
-        for n_left, rho in sectors.items()
-    )
-    return math.log2(total)

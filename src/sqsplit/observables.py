@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statekit import _PER_N_CACHE, ConditionalState, SplitFullState, SplitMixedState, StateVector
+from .statekit import _PER_N_CACHE, ConditionalState, SplitFullState, StateVector
 
 __all__ = [
     "MomentSet",
@@ -223,7 +223,7 @@ def _twist_moments(n, t):
 
 
 def moments(state):
-    """MomentSet of a ConditionalState, SplitFullState or SplitMixedState.
+    """MomentSet of a ConditionalState or SplitFullState.
 
     A SplitFullState is read from the ensemble that entered the
     splitter.  For twisted_split(n, t) that ensemble is the twisted
@@ -234,10 +234,8 @@ def moments(state):
     atom number, so these are also exactly the moments of the
     number-collapsed mixture over all left-well sectors:
     mixed_split_state(n, t, window=0) has the moments of
-    twisted_split(n, t).
-
-    A SplitMixedState is summed sector by sector in O(N^2 sqrt N);
-    moments are normalized by the retained sector mass.
+    twisted_split(n, t), which `sqsplit verify` checks against the
+    sector-by-sector sum of sqsplit._oracles.
     """
     if isinstance(state, ConditionalState):
         raw, means = _gram(state)
@@ -247,22 +245,8 @@ def moments(state):
             ms = _split_moments(state)
         else:
             ms = _vacuum_port(state.n_total, *_twist_moments(state.n_total, state.t))
-    elif isinstance(state, SplitMixedState):
-        agg_raw = np.zeros((6, 6), dtype=complex)
-        agg_means = np.zeros(6)
-        total = 0.0
-        for weight, block in state.blocks:
-            raw, means = _gram(block)
-            agg_raw += weight * raw
-            agg_means += weight * means
-            total += weight
-        if total <= 0.0:
-            raise ValueError("mixture has no weight")
-        ms = _finalize(agg_raw / total, agg_means / total, state.n_total)
     else:
-        raise TypeError(
-            "moments expects a ConditionalState, SplitFullState or SplitMixedState"
-        )
+        raise TypeError("moments expects a ConditionalState or SplitFullState")
     return ms
 
 

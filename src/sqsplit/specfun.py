@@ -1,24 +1,22 @@
 """Special functions used throughout the package.
 
-Everything here is exact-combinatorics plumbing: log-factorials and
-log-binomials (with a -inf sentinel so closed-form sums can run over
-out-of-range Fock indices and pick up exact zeros), Wigner 3j symbols
-evaluated from the Racah single-sum formula in log-factorial space,
-orthonormal spherical harmonics built from a stable normalized
-associated-Legendre recurrence, and a Gauss-Legendre quadrature rule on
-the unit sphere.
+Everything here is exact-combinatorics plumbing: log-binomials (with a
+-inf sentinel so closed-form sums can run over out-of-range Fock
+indices and pick up exact zeros) read from one growable log-factorial
+table, the stable normalized associated-Legendre recurrence behind the
+orthonormal spherical harmonics Y_kq = P[k, |q|] exp(i q phi), and a
+Gauss-Legendre quadrature rule on the unit sphere.  The Racah 3j sum,
+an independent check of wigner's recursive 3j table, lives in
+sqsplit._oracles.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "log_factorial",
     "log_binomial",
-    "wigner_3j",
-    "spherical_harmonic",
     "legendre_table",
     "QuadratureRule",
     "gauss_legendre_sphere",
@@ -45,16 +43,6 @@ def _log_facts(n_max):
     return new
 
 
-def log_factorial(n):
-    """log(n!) for integer n >= 0 (scalar or array)."""
-    arr = np.asarray(n)
-    if np.any(arr < 0):
-        raise ValueError("factorial argument must be nonnegative")
-    table = _log_facts(int(arr.max()) if arr.size else 0)
-    out = table[arr]
-    return float(out) if np.isscalar(n) else out
-
-
 def log_binomial(n, k):
     """log of the binomial coefficient C(n, k).
 
@@ -74,92 +62,6 @@ def log_binomial(n, k):
     if np.isscalar(n) and np.isscalar(k):
         return float(out)
     return out
-
-
-def _as_two_j(x, name):
-    two = 2.0 * x
-    rounded = round(two)
-    if abs(two - rounded) > 1e-9:
-        raise ValueError(f"{name} = {x} is not an integer or half-integer")
-    return int(rounded)
-
-
-def wigner_3j(j1, j2, j3, m1, m2, m3):
-    """Wigner 3j symbol (j1 j2 j3; m1 m2 m3).
-
-    Arguments may be integers or half-integers; j_i + m_i must be an
-    integer for each column.  Selection-rule violations (m1+m2+m3 != 0,
-    triangle condition) return 0.0.  Evaluated from the Racah single-sum
-    closed form with all factorials taken in log space and explicit sign
-    bookkeeping, so large j do not overflow.  The alternating sum still
-    cancels: against sympy's exact values on symbols (j k j; -m q m')
-    the relative error measured 2.3e-11 at 2j = 36, 1.2e-6 at 2j = 80
-    and 2.6e-5 at 2j = 120.  The `wigner` module therefore builds its
-    symbols with the three-term recursion (`wigner._threej_table`,
-    within 4e-14 on the same symbols) and keeps this scalar only as an
-    oracle.
-    """
-    tj = [_as_two_j(j, f"j{i+1}") for i, j in enumerate((j1, j2, j3))]
-    tm = [_as_two_j(m, f"m{i+1}") for i, m in enumerate((m1, m2, m3))]
-    for i in range(3):
-        if tj[i] < 0:
-            raise ValueError("angular momenta must be nonnegative")
-        if (tj[i] + tm[i]) % 2 != 0:
-            raise ValueError(f"j{i+1} + m{i+1} must be an integer")
-    if any(abs(tm[i]) > tj[i] for i in range(3)):
-        return 0.0
-    if tm[0] + tm[1] + tm[2] != 0:
-        return 0.0
-    tj1, tj2, tj3 = tj
-    tm1, tm2, tm3 = tm
-    if tj3 < abs(tj1 - tj2) or tj3 > tj1 + tj2:
-        return 0.0
-    if (tj1 + tj2 + tj3) % 2 != 0:
-        return 0.0
-
-    lf = _log_facts((tj1 + tj2 + tj3) // 2 + 1)
-    # triangle coefficient and m-dependent prefactor, all halved in log space
-    pre = 0.5 * (
-        lf[(tj1 + tj2 - tj3) // 2]
-        + lf[(tj1 - tj2 + tj3) // 2]
-        + lf[(-tj1 + tj2 + tj3) // 2]
-        - lf[(tj1 + tj2 + tj3) // 2 + 1]
-        + lf[(tj1 + tm1) // 2]
-        + lf[(tj1 - tm1) // 2]
-        + lf[(tj2 + tm2) // 2]
-        + lf[(tj2 - tm2) // 2]
-        + lf[(tj3 + tm3) // 2]
-        + lf[(tj3 - tm3) // 2]
-    )
-
-    a1 = (tj1 + tj2 - tj3) // 2
-    a2 = (tj1 - tm1) // 2
-    a3 = (tj2 + tm2) // 2
-    b1 = (tj2 - tj3 - tm1) // 2
-    b2 = (tj1 - tj3 + tm2) // 2
-    v_min = max(0, b1, b2)
-    v_max = min(a1, a2, a3)
-    if v_max < v_min:
-        return 0.0
-
-    logs = np.empty(v_max - v_min + 1)
-    signs = np.empty(v_max - v_min + 1)
-    for idx, v in enumerate(range(v_min, v_max + 1)):
-        logs[idx] = -(
-            lf[v]
-            + lf[a1 - v]
-            + lf[a2 - v]
-            + lf[a3 - v]
-            + lf[v - b1]
-            + lf[v - b2]
-        )
-        signs[idx] = -1.0 if v % 2 else 1.0
-    peak = logs.max()
-    total = float(np.sum(signs * np.exp(logs - peak)))
-    if total == 0.0:
-        return 0.0
-    phase = -1.0 if ((tj1 - tj2 - tm3) // 2) % 2 else 1.0
-    return phase * math.copysign(math.exp(pre + peak + math.log(abs(total))), total)
 
 
 def legendre_table(k_max, x):
@@ -209,22 +111,6 @@ def legendre_table(k_max, x):
     return p
 
 
-def spherical_harmonic(k, q, theta, phi):
-    """Orthonormal spherical harmonic Y_kq(theta, phi) (Condon-Shortley)."""
-    if k < 0 or k != int(k) or q != int(q):
-        raise ValueError("k must be a nonnegative integer and q an integer")
-    k = int(k)
-    q = int(q)
-    if abs(q) > k:
-        raise ValueError("|q| must not exceed k")
-    table = legendre_table(k, np.cos(theta))
-    lam = table[k, abs(q), 0]
-    if q >= 0:
-        return lam * complex(np.exp(1j * q * phi))
-    parity = -1.0 if q % 2 else 1.0
-    return parity * lam * complex(np.exp(1j * q * phi))
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Product quadrature on the sphere: Gauss-Legendre in cos(theta),
@@ -237,13 +123,18 @@ class QuadratureRule:
     def __post_init__(self):
         if self.phi_count < 1:
             raise ValueError("phi_count must be positive")
-        # written so that a NaN or inf weight fails it
+        nodes = np.asarray(self.nodes_costheta, dtype=float)
+        if nodes.ndim != 1 or nodes.shape != np.shape(self.weights):
+            raise ValueError("quadrature rule needs one cos(theta) node per weight")
+        # each check is written so that a NaN or inf node or weight fails it
+        if not np.all(np.abs(nodes) <= 1.0):
+            raise ValueError("quadrature nodes cos(theta) must lie in [-1, 1]")
         if not abs(float(np.sum(self.weights)) - 2.0) <= 1e-12:
             raise ValueError("quadrature weights must integrate cos(theta) over [-1, 1]")
 
     @property
     def thetas(self):
-        return np.arccos(np.clip(self.nodes_costheta, -1.0, 1.0))
+        return np.arccos(self.nodes_costheta)
 
     @property
     def phis(self):

@@ -11,7 +11,7 @@ are the objects every downstream module consumes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -42,6 +42,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # mixture pinned a vector each (peak RSS 30 -> 181 MB; 43 MB at 256).
 _PER_N_CACHE = 256
 
+# Largest |norm^2 - 1| a pure state may carry, one tolerance for every
+# check of it: StateVector, ConditionalState, the Schmidt spectrum of a
+# ConditionalState and the real entangler parts of one sector.
+_NORM_TOL = 1e-9
+
 
 class ZeroProbabilityError(ValueError):
     """Raised when projecting on a measurement outcome of zero probability."""
@@ -61,7 +66,7 @@ class StateVector:
             raise ValueError("amplitude vector must have length n_total + 1")
         norm = float(np.vdot(self.amplitudes, self.amplitudes).real)
         # written so that a NaN norm fails too
-        if not abs(norm - 1.0) <= 1e-9:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state vector is not normalized (norm^2 = {norm})")
 
 
@@ -83,7 +88,7 @@ class ConditionalState:
         if self.psi.shape != (self.n_left + 1, self.n_right + 1):
             raise ValueError("amplitude matrix shape must be (n_left+1, n_right+1)")
         norm = float(np.vdot(self.psi, self.psi).real)
-        if not abs(norm - 1.0) <= 1e-9:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"conditional state is not normalized (norm^2 = {norm})")
 
     @property
@@ -94,43 +99,25 @@ class ConditionalState:
 class SplitMixedState:
     """Classical mixture of conditional states over left-well sectors.
 
-    blocks is a list of (weight, ConditionalState) sorted by n_left;
-    weights are the untruncated sector probabilities, so they sum to at
-    most one (less when a truncation window was applied).  sectors
-    lists the (weight, n_left) pairs and t is None.
-
-    mixed_split_state returns a mixture that records its twisting time
-    t and its sectors instead, and builds blocks only on first access,
-    so a consumer that needs only (n_left, n_right, t) never pays for
-    the amplitude matrices.
+    It has one construction path, the one mixed_split_state takes: the
+    mixture records its atom number n_total, its twisting time t and its
+    sectors, the (weight, n_left) pairs sorted by n_left.  The weights are the
+    untruncated sector probabilities, so they sum to at most one (less
+    when a truncation window was applied).  blocks, the list of
+    (weight, ConditionalState), is built only on first access, so a
+    consumer that needs only (n_left, n_right, t) never pays for the
+    amplitude matrices.
     """
 
-    def __init__(self, n_total, blocks):
-        for _, state in blocks:
-            if state.n_left + state.n_right != n_total:
-                raise ValueError("block particle numbers must sum to n_total")
-        self.n_total = n_total
-        self.t = None
-        self.sectors = [(weight, state.n_left) for weight, state in blocks]
-        self.blocks = blocks
-        self._check_sectors()
-
-    @classmethod
-    def _twisted(cls, n_total, t, sectors):
-        mixture = cls.__new__(cls)
-        mixture.n_total = n_total
-        mixture.t = t
-        mixture.sectors = sectors
-        mixture._check_sectors()
-        return mixture
-
-    def _check_sectors(self):
+    def __init__(self, n_total, t, sectors):
+        if not math.isfinite(t):
+            raise ValueError("twisting time must be finite")
         total = 0.0
         seen = set()
-        for weight, n_left in self.sectors:
+        for weight, n_left in sectors:
             if not 0.0 < weight <= 1.0:
                 raise ValueError("block weights must lie in (0, 1]")
-            if not 0 <= n_left <= self.n_total:
+            if not 0 <= n_left <= n_total:
                 raise ValueError("sector n_left out of range")
             if n_left in seen:
                 raise ValueError("duplicate sector in mixture")
@@ -138,11 +125,12 @@ class SplitMixedState:
             total += weight
         if total > 1.0 + 1e-9:
             raise ValueError("mixture weights exceed 1")
+        self.n_total = n_total
+        self.t = t
+        self.sectors = sectors
 
     @cached_property
     def blocks(self):
-        # only reached for a recorded-t mixture; the public constructor
-        # sets blocks on the instance
         n = self.n_total
         low = {}
         blocks = []
@@ -363,8 +351,6 @@ def mixed_split_state(n, t, window=1e-12):
         raise ValueError("atom number must be nonnegative")
     if window < 0:
         raise ValueError("truncation window must be nonnegative")
-    if not math.isfinite(t):
-        raise ValueError("twisting time must be finite")
     weights = np.exp(log_binomial(n, np.arange(n + 1)) - n * _LN2).tolist()
     retained = []
     cum = 0.0
@@ -377,4 +363,4 @@ def mixed_split_state(n, t, window=1e-12):
         if window > 0.0 and cum >= 1.0 - window:
             break
     retained.sort()
-    return SplitMixedState._twisted(n, t, [(weights[l], l) for l in retained])
+    return SplitMixedState(n, t, [(weights[l], l) for l in retained])

@@ -7,8 +7,9 @@ integral(W dOmega) = sqrt(4 pi/(2j+1)) tr(rho).  Every Wigner function
 goes through that one multipole expansion.  Its 3j symbols come as one
 table from the three-term recursion in k (within 1e-13 relative of
 sympy's exact values on sampled symbols up to 2j = 120); the scalar
-Racah sum `specfun.wigner_3j`, whose cancellation costs it about 1e-11
-relative at 2j = 36, serves only as a test oracle.  The closed forms
+Racah sum `sqsplit._oracles.wigner_3j`, whose cancellation costs it
+about 1e-11 relative at 2j = 36, checks the table in `sqsplit verify`
+and the tests.  The closed forms
 build the left-well density matrix of the marginal (right well traced
 out) and of the heralded state after a right-well Fock measurement
 directly from binomial weights; agreement with the matrices traced or
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .observables import DensityMatrix, reduced_density_left
+from .observables import DensityMatrix
 from .specfun import (
     QuadratureRule,
     gauss_legendre_sphere,

@@ -20,13 +20,10 @@ import time
 import numpy as np
 import pytest
 
+from sqsplit._oracles import log_negativity_dense, mixture_moments
 from sqsplit.cli import SweepConfig, main, run_criteria_sweep, run_equivalence_suite
-from sqsplit.entangle import (
-    log_negativity_dense,
-    log_negativity_mixed,
-    log_negativity_pure,
-)
-from sqsplit.observables import moments, project_right_fock, reduced_density_left
+from sqsplit.entangle import log_negativity_mixed, log_negativity_pure
+from sqsplit.observables import project_right_fock, reduced_density_left
 from sqsplit.statekit import (
     effective_evolution,
     mixed_split_state,
@@ -254,7 +251,7 @@ def test_criterion_09_short_time_variance_polynomial():
     worst = 0.0
     for nt in (0.05, 0.1, 0.2):
         t = nt / n
-        v = moments(mixed_split_state(n, t)).V
+        v = mixture_moments(mixed_split_state(n, t).blocks).V
         pair = (
             v[1, 1] + v[5, 5] + 2.0 * v[1, 5]
             + v[4, 4] + v[2, 2] + 2.0 * v[4, 2]

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import sqsplit
+from sqsplit import entangle, observables, wigner
+from sqsplit._oracles import mixture_moments
 from sqsplit.cli import (
     EquivalenceReport,
     SweepConfig,
@@ -365,7 +367,7 @@ def test_criteria_row_matches_sector_mixture_n500(t):
     # mixed-mode rows come from the split state's moments; the sector
     # route (truncated binomial mixture) must give the same row
     (row,) = run_criteria_sweep(SweepConfig(n=500, t_min=t, t_max=t, steps=1))
-    want = astuple(witness_suite(moments(mixed_split_state(500, t)), t))
+    want = astuple(witness_suite(mixture_moments(mixed_split_state(500, t).blocks), t))
     for name, got, ref in zip(CRITERIA_COLUMNS, row, want):
         tol = 1e-8
         if name in ("g_y", "g_z") and t == 0.0:
@@ -899,6 +901,8 @@ def test_verify_passes_and_reports():
     assert "PASS" in lines[-1]
     assert "sector" in out
     assert "split-moment" in out
+    for check in ("mixture-moment", "mixed negativity", "outside the bracket", "3j"):
+        assert check in out, check
 
 
 def test_verify_negative_control():
@@ -906,6 +910,13 @@ def test_verify_negative_control():
     code, out, _ = run_cli(["verify", "--n", "6", "--inject-phase-error", "0.01"])
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_fails_on_a_nan_residual():
+    # a NaN amplitude residual used to leave the worst residual at 0
+    code, out, _ = run_cli(["verify", "--n", "3", "--inject-phase-error", "nan"])
+    assert code == 3
+    assert "worst amplitude residual inf at (N, N_L, t) = (1, 0, 0.05)" in out
 
 
 def test_verify_fails_on_a_closed_form_sign_flip(monkeypatch):
@@ -924,9 +935,71 @@ def test_verify_fails_on_a_closed_form_sign_flip(monkeypatch):
     assert not run_equivalence_suite(max_n=4).passed
 
 
+def _verify_fails_only_on(*failing):
+    """verify --n 6 exits 3, and the report fails on the named fields
+    alone."""
+    code, out, _ = run_cli(["verify", "--n", "6"])
+    assert code == 3
+    assert "FAIL" in out
+    report = run_equivalence_suite(max_n=4)
+    fields = ("worst_residual", "sector_law_error", "moment_error", "mixture_moment_error",
+              "negativity_error", "bracket_excess", "threej_error")
+    for name in fields:
+        assert (getattr(report, name) > 1e-12) == (name in failing), name
+
+
+def test_verify_fails_on_a_doubled_entangler_phase(monkeypatch):
+    # the dense partial transpose pins the C/S negativity and its bracket
+    real = entangle._entangler_bounds
+
+    def doubled(n_left, n_right, t, budget, table=None, work=None):
+        return real(n_left, n_right, 2.0 * t, budget, None, work)
+
+    monkeypatch.setattr(entangle, "_entangler_bounds", doubled)
+    _verify_fails_only_on("negativity_error", "bracket_excess")
+
+
+def test_verify_fails_on_a_flipped_threej_sign(monkeypatch):
+    # the Racah sum pins the recursive 3j table
+    real = wigner._threej_table
+
+    def flipped(two_j):
+        table = np.array(real(two_j))
+        if two_j == 3:
+            table[2, 1, 0] = -table[2, 1, 0]
+        return table
+
+    assert real(3)[2, 1, 0] != 0.0
+    monkeypatch.setattr(wigner, "_threej_table", flipped)
+    _verify_fails_only_on("threej_error")
+
+
+def _gram_on_the_left_index(state):
+    """observables._gram with the right-well images taken on the left
+    index, a fault the O(N) split-moment route never reads."""
+    psi, nl, nr = state.psi, state.n_left, state.n_right
+    images = [psi] + [
+        observables._apply_component(psi, axis, "left", nl, nr)
+        for _ in ("left", "right")
+        for axis in ("x", "y", "z")
+    ]
+    stack = np.array([image.ravel() for image in images])
+    g7 = stack.conj() @ stack.T
+    return g7[1:, 1:], g7[0, 1:].real.copy()
+
+
+def test_verify_fails_on_a_gram_fault(monkeypatch):
+    # the sector-route mixture moments pin _gram, the moments of
+    # criteria --mode conditional
+    monkeypatch.setattr(observables, "_gram", _gram_on_the_left_index)
+    _verify_fails_only_on("mixture_moment_error")
+
+
 def test_verify_size_cap():
-    code, _, _ = run_cli(["verify", "--n", "13"])
+    code, _, _ = run_cli(["verify", "--n", "17"])
     assert code == 2
+    code, out, _ = run_cli(["verify", "--n", "16"])
+    assert code == 0, out
 
 
 def test_equivalence_report_counts():
@@ -938,6 +1011,10 @@ def test_equivalence_report_counts():
     assert report.worst_residual <= 1e-12
     assert report.moment_error <= 1e-12
     assert report.sector_law_error <= 1e-12
+    assert report.mixture_moment_error <= 1e-12
+    assert report.negativity_error <= 1e-12
+    assert report.bracket_excess == 0.0
+    assert report.threej_error <= 1e-12
 
 
 # ----------------------------------------------------- library surface

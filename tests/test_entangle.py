@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqsplit import entangle, statekit
+from sqsplit._oracles import block_trace_norms, log_negativity_dense
 from sqsplit.entangle import (
     _TRIM_BUDGET,
     _TRIM_CAP,
@@ -16,7 +17,6 @@ from sqsplit.entangle import (
     _leading_axis,
     _trim_budgets,
     log_negativity_bracket,
-    log_negativity_dense,
     log_negativity_mixed,
     log_negativity_pure,
     schmidt,
@@ -24,7 +24,6 @@ from sqsplit.entangle import (
 from sqsplit.specfun import log_binomial
 from sqsplit.statekit import (
     ConditionalState,
-    SplitMixedState,
     _coherent_half_weights,
     effective_evolution,
     mixed_split_state,
@@ -43,6 +42,18 @@ def test_schmidt_spectrum_guards():
         SchmidtSpectrum(np.array([0.3, 0.9]))  # not sorted
     with pytest.raises(ValueError):
         SchmidtSpectrum(np.array([0.9, 0.3]))  # squares sum to 0.9
+
+
+def test_schmidt_spectrum_accepts_what_the_state_accepted():
+    # one norm tolerance: a state ConditionalState accepts has a Schmidt
+    # spectrum SchmidtSpectrum accepts (it checked 1e-10 against 1e-9)
+    base = effective_evolution(3, 4, 0.1)
+    state = ConditionalState(3, 4, base.psi * math.sqrt(1.0 + 5e-10))
+    assert statekit._NORM_TOL == 1e-9
+    got = log_negativity_pure(state)
+    assert abs(got - log_negativity_pure(base)) <= 1e-9
+    with pytest.raises(ValueError):
+        ConditionalState(3, 4, base.psi * math.sqrt(1.0 + 2e-9))
 
 
 def test_schmidt_product_state():
@@ -216,18 +227,19 @@ def test_bracket_contains_product_negativity_at_zero_time(n):
 
 def test_mirror_reuse_needs_transposed_amplitudes():
     # high blocks twisted for another time have the mirror's shape but
-    # not its amplitudes, so each needs its own decomposition
+    # not its amplitudes, so each needs its own decomposition: only the
+    # whole-block oracle takes such blocks, and it reuses nothing
     n, t_low, t_high = 9, 0.13, 0.31
     blocks = [
         (w, b if b.n_left <= b.n_right else effective_evolution(b.n_left, b.n_right, t_high))
         for w, b in mixed_split_state(n, t_low, window=0.0).blocks
     ]
-    mixture = SplitMixedState(n, blocks)
+    terms = block_trace_norms(blocks)
     per_block = sum(w * _nuclear_norm(b.psi) ** 2 for w, b in blocks)
-    got = log_negativity_mixed(mixture)
+    got = math.log2(sum(w * s**2 for w, s, _ in terms))
     assert abs(got - math.log2(per_block)) < 1e-12
     assert abs(got - log_negativity_mixed(mixed_split_state(n, t_low, window=0.0))) > 1e-3
-    for (w, b), (w_got, s, slack) in zip(blocks, _block_trace_norms(mixture)):
+    for (w, b), (w_got, s, slack) in zip(blocks, terms):
         assert w_got == w and slack == 0.0
         assert abs(s - _nuclear_norm(b.psi)) < 1e-12
 
@@ -556,15 +568,17 @@ def test_weighted_trim_certifies_every_block_at_n800():
 
 
 def test_arbitrary_blocks_are_decomposed_whole():
-    # a hand-built mixture is never trimmed: under the bracket's budget
-    # each block's s is its exact nuclear norm and its slack is 0
-    blocks = mixed_split_state(40, 0.3, window=0.0).blocks
-    mixture = SplitMixedState(40, blocks)
-    terms = _block_trace_norms(mixture, _TRIM_BUDGET)
+    # the whole-block oracle never trims: each block's s is its exact
+    # nuclear norm and its slack is 0, and the certified bracket of the
+    # recorded mixture holds the value it gives
+    mixture = mixed_split_state(40, 0.3, window=0.0)
+    blocks = mixture.blocks
+    terms = block_trace_norms(blocks)
     for (w, b), (w_got, s, slack) in zip(blocks, terms):
         assert w_got == w
         assert (s, slack) == (_nuclear_norm(b.psi), 0.0)
-    exact = log_negativity_mixed(mixture)
+    exact = math.log2(sum(w * s**2 for w, s, _ in terms))
+    assert abs(exact - log_negativity_mixed(mixture)) < 1e-12
     low, high = log_negativity_bracket(mixture)
     assert low <= exact <= high
 

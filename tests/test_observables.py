@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqsplit._oracles import mixture_moments
 from sqsplit.observables import (
     DensityMatrix,
     MomentSet,
@@ -17,7 +18,6 @@ from sqsplit.observables import (
 )
 from sqsplit.statekit import (
     ConditionalState,
-    SplitMixedState,
     StateVector,
     effective_evolution,
     mixed_split_state,
@@ -155,7 +155,7 @@ def test_mixture_moments_match_dense_average():
         agg_means += weight * gram[0, 1:].real
         agg_raw += weight * gram[1:, 1:]
     v = agg_raw.real - np.outer(agg_means, agg_means)
-    ms = moments(mix)
+    ms = mixture_moments(mix.blocks)
     assert np.allclose(ms.means, agg_means, atol=1e-11)
     assert np.allclose(ms.V, 0.5 * (v + v.T), atol=1e-10)
     assert np.allclose(ms.Omega[:3, :3], 2.0 * agg_raw[:3, :3].imag, atol=1e-10)
@@ -168,10 +168,17 @@ def test_mixture_moments_ignore_block_memory_layout():
     a = effective_evolution(2, 4, 0.17)
     view = ConditionalState(4, 2, a.psi.T[::-1])
     copy = ConditionalState(4, 2, view.psi.copy())
-    got = moments(SplitMixedState(6, [(0.5, a), (0.5, view)]))
-    want = moments(SplitMixedState(6, [(0.5, a), (0.5, copy)]))
+    got = mixture_moments([(0.5, a), (0.5, view)])
+    want = mixture_moments([(0.5, a), (0.5, copy)])
     for x, y in ((got.means, want.means), (got.V, want.V), (got.Omega, want.Omega)):
         assert np.array_equal(x, y)
+
+
+def test_moments_refuses_a_mixture():
+    # a mixture's moments are its split state's; the sector-by-sector
+    # sum is only the oracle
+    with pytest.raises(TypeError):
+        moments(mixed_split_state(6, 0.1))
 
 
 def _assert_moments_agree(got, want):
@@ -189,7 +196,8 @@ def test_split_moments_match_sector_mixture(n, t):
     twisted = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t)
     full = split(twisted)
     assert full.source is twisted
-    _assert_moments_agree(moments(full), moments(mixed_split_state(n, t, window=0.0)))
+    sectors = mixed_split_state(n, t, window=0.0).blocks
+    _assert_moments_agree(moments(full), mixture_moments(sectors))
 
 
 def test_split_moments_of_random_states_match_projected_sectors():
@@ -201,7 +209,7 @@ def test_split_moments_of_random_states_match_projected_sectors():
             amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
             full = split(StateVector(n, amps / np.linalg.norm(amps)))
             blocks = [project_left_number(full, l) for l in range(n + 1)]
-            _assert_moments_agree(moments(full), moments(SplitMixedState(n, blocks)))
+            _assert_moments_agree(moments(full), mixture_moments(blocks))
 
 
 def _max_moment_gap(got, want):
@@ -309,7 +317,7 @@ def test_quadrature_pair_variance_polynomial():
     n = 500
     for nt in (0.05, 0.1, 0.2):
         t = nt / n
-        ms = moments(mixed_split_state(n, t))
+        ms = mixture_moments(mixed_split_state(n, t).blocks)
         v = ms.V
         pair = v[1, 1] + v[5, 5] + 2 * v[1, 5] + v[4, 4] + v[2, 2] + 2 * v[4, 2]
         poly = 2 * n * (4 * n * n * t * t - 2 * n * t + 1)

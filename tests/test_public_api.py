@@ -8,6 +8,9 @@ in its sources.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,7 +47,6 @@ PUBLIC = [
     "log_negativity_pure",
     "log_negativity_mixed",
     "log_negativity_bracket",
-    "log_negativity_dense",
     # wigner
     "WignerGrid",
     "default_rule",
@@ -67,17 +69,20 @@ PUBLIC = [
     "hermitian_min_eigenvalue",
     # special functions
     "QuadratureRule",
-    "log_factorial",
     "log_binomial",
-    "wigner_3j",
     "legendre_table",
-    "spherical_harmonic",
     "gauss_legendre_sphere",
 ]
 
+# the oracles among them live on in sqsplit._oracles
 REMOVED = {
-    "sqsplit": ["SpinLabel", "apply_spin", "right_outcome_distribution"],
+    "sqsplit": [
+        "SpinLabel", "apply_spin", "right_outcome_distribution",
+        "log_negativity_dense", "log_factorial", "wigner_3j", "spherical_harmonic",
+    ],
     "sqsplit.observables": ["SpinLabel", "apply_spin", "right_outcome_distribution"],
+    "sqsplit.entangle": ["log_negativity_dense", "_dense_basis", "_partial_transpose_trace_norm"],
+    "sqsplit.specfun": ["log_factorial", "wigner_3j", "_as_two_j", "spherical_harmonic"],
 }
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -147,3 +152,63 @@ def test_benchmark_lookups_exist():
     assert len(mixture.blocks) == len(mixture.sectors)
     assert 0.0 < mixture.retained_mass <= 1.0
     assert isinstance(mixture, statekit.SplitMixedState)
+
+
+SRC = Path(sqsplit.__file__).resolve().parent
+
+
+def test_commands_leave_the_oracles_unimported(tmp_path):
+    # a fresh process runs a criteria and a wigner command line; nothing
+    # on either path may load the oracle module
+    script = f"""
+import sys
+import sqsplit, sqsplit.cli
+for argv in (
+    ["criteria", "--n", "20", "--steps", "3", "--out", {str(tmp_path / "c.csv")!r}],
+    ["wigner", "--n", "6", "--nl", "3", "--t", "0.1", "--out", {str(tmp_path / "w.csv")!r}],
+):
+    assert sqsplit.cli.main(argv) == 0, argv
+print("sqsplit._oracles" in sys.modules)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
+    assert (tmp_path / "c.csv").exists() and (tmp_path / "w.json").exists()
+
+
+def _oracle_imports(tree):
+    """For every import of _oracles in a module's AST, the name of the
+    innermost def around it, or None at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] + [alias.name for alias in child.names]
+            if any(name.split(".")[-1] == "_oracles" for name in names):
+                found.append(function)
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_verify_imports_the_oracles():
+    imports = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "_oracles.py":
+            found = _oracle_imports(ast.parse(path.read_text()))
+            if found:
+                imports[path.name] = found
+    assert imports == {"cli.py": ["run_equivalence_suite"]}

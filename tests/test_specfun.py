@@ -4,32 +4,42 @@ import numpy as np
 import pytest
 from scipy.special import lpmv, sph_harm_y
 
+from sqsplit._oracles import wigner_3j
 from sqsplit.specfun import (
     QuadratureRule,
+    _log_facts,
     gauss_legendre_sphere,
     legendre_table,
     log_binomial,
-    log_factorial,
-    spherical_harmonic,
-    wigner_3j,
 )
 
 
+def _harmonic(k, q, theta, phi):
+    """Orthonormal Y_kq(theta, phi) (Condon-Shortley) read from
+    legendre_table as wigner._evaluate sums it: P[k, |q|] exp(i q phi),
+    times (-1)^q for q < 0."""
+    lam = legendre_table(k, np.cos(theta))[k, abs(q), 0]
+    sign = (-1.0) ** q if q < 0 else 1.0
+    return sign * lam * complex(np.exp(1j * q * phi))
+
+
 def test_log_factorial_matches_lgamma():
+    # the log(n!) table every log_binomial reads, growing on demand
     ns = np.array([0, 1, 2, 5, 17, 63, 64, 65, 200, 801])
-    vals = log_factorial(ns)
+    vals = _log_facts(int(ns.max()))[ns]
     for n, v in zip(ns, vals):
         assert abs(v - math.lgamma(n + 1)) <= 1e-12 * max(1.0, abs(v))
-    # scalar input gives a plain float
-    assert isinstance(log_factorial(7), float)
-    assert log_factorial(0) == 0.0
+    # a scalar index gives a float
+    assert isinstance(_log_facts(7)[7], float)
+    assert _log_facts(0)[0] == 0.0
 
 
 def test_log_factorial_rejects_negative():
+    # the table is read only through log_binomial, which refuses n < 0
     with pytest.raises(ValueError):
-        log_factorial(-1)
+        log_binomial(-1, 0)
     with pytest.raises(ValueError):
-        log_factorial(np.array([3, -2]))
+        log_binomial(np.array([3, -2]), 0)
 
 
 def test_log_binomial_exact_integers():
@@ -233,8 +243,8 @@ def test_legendre_table_equals_scalar_steps(k_max):
 
 
 def test_spherical_harmonic_values():
-    assert abs(spherical_harmonic(0, 0, 1.1, 2.2) - 1 / math.sqrt(4 * math.pi)) < 1e-14
-    assert abs(spherical_harmonic(1, 0, 0.0, 0.3) - math.sqrt(3 / (4 * math.pi))) < 1e-14
+    assert abs(_harmonic(0, 0, 1.1, 2.2) - 1 / math.sqrt(4 * math.pi)) < 1e-14
+    assert abs(_harmonic(1, 0, 0.0, 0.3) - math.sqrt(3 / (4 * math.pi))) < 1e-14
 
 
 def test_spherical_harmonic_matches_scipy():
@@ -244,7 +254,7 @@ def test_spherical_harmonic_matches_scipy():
         q = int(rng.integers(-k, k + 1))
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2 * math.pi))
-        got = spherical_harmonic(k, q, theta, phi)
+        got = _harmonic(k, q, theta, phi)
         want = complex(sph_harm_y(k, q, theta, phi))
         assert abs(got - want) < 1e-12
 
@@ -256,8 +266,8 @@ def test_spherical_harmonic_conjugation():
         q = int(rng.integers(-k, k + 1))
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2 * math.pi))
-        lhs = spherical_harmonic(k, -q, theta, phi)
-        rhs = (-1.0) ** q * np.conj(spherical_harmonic(k, q, theta, phi))
+        lhs = _harmonic(k, -q, theta, phi)
+        rhs = (-1.0) ** q * np.conj(_harmonic(k, q, theta, phi))
         assert abs(lhs - rhs) < 1e-13
 
 
@@ -268,16 +278,9 @@ def test_spherical_harmonic_addition_theorem():
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2 * math.pi))
         total = sum(
-            abs(spherical_harmonic(k, q, theta, phi)) ** 2 for q in range(-k, k + 1)
+            abs(_harmonic(k, q, theta, phi)) ** 2 for q in range(-k, k + 1)
         )
         assert abs(total - (2 * k + 1) / (4 * math.pi)) < 1e-10
-
-
-def test_spherical_harmonic_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        spherical_harmonic(2, 3, 0.1, 0.2)
-    with pytest.raises(ValueError):
-        spherical_harmonic(-1, 0, 0.1, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +306,11 @@ def test_quadrature_total_solid_angle():
 
 def test_quadrature_harmonic_integrals():
     rule = gauss_legendre_sphere(4, 8)
-    y00 = _integrate(rule, lambda th, ph: spherical_harmonic(0, 0, th, ph))
+    y00 = _integrate(rule, lambda th, ph: _harmonic(0, 0, th, ph))
     assert abs(y00 - math.sqrt(4 * math.pi)) < 1e-12
-    y21 = _integrate(rule, lambda th, ph: spherical_harmonic(2, 1, th, ph))
+    y21 = _integrate(rule, lambda th, ph: _harmonic(2, 1, th, ph))
     assert abs(y21) < 1e-12
-    y21sq = _integrate(rule, lambda th, ph: abs(spherical_harmonic(2, 1, th, ph)) ** 2)
+    y21sq = _integrate(rule, lambda th, ph: abs(_harmonic(2, 1, th, ph)) ** 2)
     assert abs(y21sq - 1.0) < 1e-12
 
 
@@ -319,7 +322,7 @@ def test_quadrature_orthonormality_block():
     values = np.array(
         [
             [
-                spherical_harmonic(k, q, theta, phi)
+                _harmonic(k, q, theta, phi)
                 for theta in rule.thetas
                 for phi in rule.phis
             ]
@@ -338,3 +341,13 @@ def test_quadrature_rule_validation():
         QuadratureRule(np.array([0.0]), np.array([1.7]), 4)
     with pytest.raises(ValueError):
         QuadratureRule(np.array([0.0]), np.array([2.0]), 0)
+    # nodes are cos(theta): one per weight, in [-1, 1] (NaN and inf are
+    # in tests/test_validators.py)
+    with pytest.raises(ValueError, match="node"):
+        QuadratureRule(np.array([-1.5, 0.5]), np.array([1.0, 1.0]), 4)
+    with pytest.raises(ValueError, match="node"):
+        QuadratureRule(np.array([0.0]), np.array([1.0, 1.0]), 4)
+    with pytest.raises(ValueError, match="node"):
+        QuadratureRule(np.array([[0.0, 0.5]]), np.array([[1.0, 1.0]]), 4)
+    assert QuadratureRule([-1.0, 1.0], [1.0, 1.0], 4).thetas.tolist() == [math.pi, 0.0]
+

@@ -362,15 +362,21 @@ def test_mixture_input_validation():
 
 
 def test_mixed_state_type_guards():
+    # a mixture is built only from recorded (n_total, t, sectors), never
+    # from a list of hand-built blocks
     good = effective_evolution(1, 1, 0.1)
+    with pytest.raises(TypeError):
+        SplitMixedState(2, [(0.5, good)])
     with pytest.raises(ValueError):
-        SplitMixedState(2, [(0.0, good)])
+        SplitMixedState(2, 0.1, [(0.0, 1)])
     with pytest.raises(ValueError):
-        SplitMixedState(3, [(0.5, good)])  # particle numbers do not sum
+        SplitMixedState(1, 0.1, [(0.5, 2)])  # sector beyond n_total
     with pytest.raises(ValueError):
-        SplitMixedState(2, [(0.5, good), (0.25, good)])  # duplicate sector
+        SplitMixedState(2, 0.1, [(0.5, 1), (0.25, 1)])  # duplicate sector
     with pytest.raises(ValueError):
-        SplitMixedState(2, [(0.9, good), (0.9, effective_evolution(2, 0, 0.1))])
+        SplitMixedState(2, 0.1, [(0.9, 1), (0.9, 2)])
+    with pytest.raises(ValueError):
+        SplitMixedState(2, math.nan, [(0.5, 1)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -420,20 +426,20 @@ def test_mixture_records_sectors_without_blocks(monkeypatch):
     assert len(mix.sectors) == 155
     assert [l for _, l in mix.sectors] == sorted(l for _, l in mix.sectors)
     assert 1.0 - 1e-12 <= mix.retained_mass <= 1.0 + 1e-9
-    # a hand-built mixture records no time and its own sectors
-    good = SplitMixedState(2, [(0.5, ConditionalState(1, 1, np.full((2, 2), 0.5 + 0j)))])
-    assert good.t is None and good.sectors == [(0.5, 1)]
+    # the constructor records its time and sectors and builds nothing
+    good = SplitMixedState(2, 0.1, [(0.5, 1)])
+    assert good.t == 0.1 and good.sectors == [(0.5, 1)]
 
 
 def test_recorded_mixture_validates_sectors():
     with pytest.raises(ValueError):
-        SplitMixedState._twisted(4, 0.1, [(0.0, 1)])
+        SplitMixedState(4, 0.1, [(0.0, 1)])
     with pytest.raises(ValueError):
-        SplitMixedState._twisted(4, 0.1, [(0.5, 1), (0.25, 1)])  # duplicate sector
+        SplitMixedState(4, 0.1, [(0.5, 1), (0.25, 1)])  # duplicate sector
     with pytest.raises(ValueError):
-        SplitMixedState._twisted(4, 0.1, [(0.6, 1), (0.6, 3)])  # weights exceed 1
+        SplitMixedState(4, 0.1, [(0.6, 1), (0.6, 3)])  # weights exceed 1
     with pytest.raises(ValueError):
-        SplitMixedState._twisted(4, 0.1, [(0.5, 5)])  # no such sector
+        SplitMixedState(4, 0.1, [(0.5, 5)])  # no such sector
 
 
 @pytest.mark.parametrize("n", [1350, 2000, 10000])

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from sqsplit.entangle import SchmidtSpectrum, _partial_transpose_trace_norm
+from sqsplit._oracles import _partial_transpose_trace_norm
+from sqsplit.entangle import SchmidtSpectrum
 from sqsplit.observables import DensityMatrix
 from sqsplit.specfun import QuadratureRule
 from sqsplit.wigner import _evaluate, wigner_from_density
@@ -43,6 +44,10 @@ _CASES = {
     "QuadratureRule": (
         ValueError,
         lambda bad: QuadratureRule(np.array([-0.5, 0.5]), np.array([1.0, bad]), 4),
+    ),
+    "QuadratureRule-node": (
+        ValueError,
+        lambda bad: QuadratureRule(np.array([bad, 0.5]), np.array([1.0, 1.0]), 4),
     ),
 }
 

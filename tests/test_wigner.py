@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sqsplit import specfun, wigner
+from sqsplit import _oracles, wigner
+from sqsplit._oracles import wigner_3j
 from sqsplit.observables import project_right_fock, reduced_density_left
-from sqsplit.specfun import gauss_legendre_sphere, wigner_3j
+from sqsplit.specfun import gauss_legendre_sphere
 from sqsplit.statekit import effective_evolution
 from sqsplit.wigner import (
     WignerGrid,
@@ -316,7 +317,7 @@ def test_threej_table_makes_no_scalar_calls(monkeypatch):
     def refuse(*args):
         raise AssertionError("scalar wigner_3j called")
 
-    monkeypatch.setattr(specfun, "wigner_3j", refuse)
+    monkeypatch.setattr(_oracles, "wigner_3j", refuse)
     monkeypatch.setattr(wigner, "wigner_3j", refuse, raising=False)
     wigner._threej_table.cache_clear()
     try:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
+from sqsplit._oracles import mixture_moments
 from sqsplit.observables import MomentSet, moments, rotate_moments
 from sqsplit.statekit import (
     ConditionalState,
@@ -106,7 +107,7 @@ def _z_polarized():
 
 
 def test_dgcz_saturates_at_zero_time():
-    ms = moments(mixed_split_state(500, 0.0))
+    ms = mixture_moments(mixed_split_state(500, 0.0).blocks)
     assert abs(dgcz(ms) - 1.0) < 1e-10
 
 
@@ -124,7 +125,7 @@ def test_dgcz_undefined_without_polarization():
 
 
 def test_covariance_criterion_zero_time():
-    for build in (lambda: moments(mixed_split_state(500, 0.0)),
+    for build in (lambda: mixture_moments(mixed_split_state(500, 0.0).blocks),
                   lambda: moments(effective_evolution(5, 5, 0.0))):
         val = build()
         e = covariance_criterion(val)
@@ -133,7 +134,7 @@ def test_covariance_criterion_zero_time():
 
 def test_covariance_criterion_detects():
     n = 500
-    assert covariance_criterion(moments(mixed_split_state(n, 1.0 / n))) < 0.0
+    assert covariance_criterion(mixture_moments(mixed_split_state(n, 1.0 / n).blocks)) < 0.0
 
 
 def test_covariance_window_edge_scaling():
@@ -410,7 +411,7 @@ def test_giovannetti_tie_rule_and_degenerate_cases():
 
 def test_giovannetti_gain_stationarity():
     n, t = 120, 1.0 / 240.0
-    ms = moments(mixed_split_state(n, t))
+    ms = mixture_moments(mixed_split_state(n, t).blocks)
     theta = squeezing_angle(n, t)
     rot = rotate_moments(ms, theta)
     val, g_y, g_z = giovannetti(rot)
@@ -474,7 +475,7 @@ def test_epr_steering_from_empty_well():
 
 def test_epr_steering_direction_symmetry():
     n, t = 10, 0.01
-    ms = rotate_moments(moments(mixed_split_state(n, t)), squeezing_angle(n, t))
+    ms = rotate_moments(mixture_moments(mixed_split_state(n, t).blocks), squeezing_angle(n, t))
     lr, _, _ = epr_steering(ms, "lr")
     rl, _, _ = epr_steering(ms, "rl")
     assert abs(lr - rl) < 1e-10
@@ -485,7 +486,7 @@ def test_epr_steering_direction_symmetry():
 def test_steering_implies_giovannetti_detection():
     n = 100
     for t in np.linspace(1e-4, 0.02, 25):
-        ms = moments(mixed_split_state(n, float(t)))
+        ms = mixture_moments(mixed_split_state(n, float(t)).blocks)
         rot = rotate_moments(ms, squeezing_angle(n, float(t)))
         e_g, _, _ = giovannetti(rot)
         lr, _, _ = epr_steering(rot, "lr")
@@ -508,7 +509,7 @@ def test_witnesses_symmetric_under_well_exchange():
 
 def test_witness_suite_bundle():
     n, t = 20, 0.01
-    ms = moments(mixed_split_state(n, t, window=0.0))
+    ms = mixture_moments(mixed_split_state(n, t, window=0.0).blocks)
     result = witness_suite(ms, t)
     assert isinstance(result, WitnessResult)
     for name in ("e_dgcz", "e_cm", "e_g", "xi", "e_steer_lr", "e_steer_rl",
