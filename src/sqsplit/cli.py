@@ -18,8 +18,14 @@ parser: key k becomes the flag --k-with-dashes=value placed ahead of
 the command line, so it gets the same types and choices, explicit flags
 win, null leaves the flag unset, and a key that is not one of the
 command's flags is a usage error.  A time must be finite and keep the
-twisting phase 8 |t| n^2 finite; criteria's --n is at most 10^15, and
-one conditional sector holds at most 2^20 amplitudes.
+twisting phase 8 |t| n^2 finite; --steps is at most 10^5, criteria's
+--n at most 10^15 and mixed entanglement's at most 2000, and one
+conditional sector holds at most 2^20 amplitudes.
+
+entanglement writes t,logneg_lo,logneg_hi in mixed mode, the certified
+log_negativity_bracket of the windowed sector mixture (a wider
+--epsilon widens it), and t,logneg in conditional mode, the one
+sector's untrimmed log negativity.
 
 A mixed-mode criteria point costs O(1) at any N: closed-form moments,
 witnesses that read each MomentSet once as plain floats, one argparse
@@ -33,11 +39,12 @@ results are written in input order, so --threads never changes a byte.
 Nor does the BLAS library's own thread count change a criteria or
 steering file: mixed-mode moments are closed forms with no BLAS
 reduction, and one conditional sector's moments (n = 2000) came out the
-same under one and two OpenBLAS threads.  Nor does it change a
-conditional entanglement file: its sector is decomposed from the real
-entangler parts C and S, whose singular values came out the same under
-one and two OpenBLAS threads at n = 400, where those of the complex
-amplitude matrix differed.  Wigner values come from BLAS matrix products whose
+same under one and two OpenBLAS threads.  Nor does it change an
+entanglement file: each sector is decomposed from its real entangler
+parts C and S, whose singular values came out the same under one and
+two OpenBLAS threads (one conditional sector at n = 400, where those of
+the complex amplitude matrix differed, and the mixture at n = 800).
+Wigner values come from BLAS matrix products whose
 summation order may follow that thread count (OPENBLAS_NUM_THREADS):
 between one and two OpenBLAS threads, 1,088 of the 65,341 cells of an
 n = 40 lattice differ by up to 4.4e-16.
@@ -57,12 +64,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entangle import (
-    _DEFICIT_MAX,
-    _entangler_bounds,
-    log_negativity_bracket,
-    log_negativity_mixed,
-)
+from .entangle import _entangler_bounds, log_negativity_bracket, log_negativity_mixed
 # unused here; kept because perfbench's criteria workload patches sqsplit.cli.rotate_moments
 from .observables import moments, rotate_moments  # noqa: F401
 from .statekit import (
@@ -143,6 +145,8 @@ class SweepConfig:
             _check_sector(self.n, self.nl)
         if self.steps < 1:
             raise UsageError("--steps must be positive")
+        if self.steps > _STEPS_MAX:
+            raise UsageError(f"--steps is limited to {_STEPS_MAX}")
         if self.t_max < self.t_min:
             raise UsageError("--t-max must not be below --t-min")
         if self.epsilon < 0:
@@ -171,6 +175,11 @@ _N_MAX = 10**15
 # and 275 MB, an entanglement point 0.74 s, and state 7.5 s and 514 MB
 # on 2 vCPUs; at n = 3000 they took 546 MB, 3.8 s and 1.1 GB.
 _SECTOR_ENTRIES_MAX = 2**20
+
+# Largest --steps, checked before the time grid is allocated: criteria
+# --n 500 --steps 100000 took 8 s and 128 MB peak RSS and wrote a
+# 16.5 MB CSV on 2 vCPUs, about 1 KB of memory per row.
+_STEPS_MAX = 10**5
 
 
 def _check_sector(n, nl):
@@ -255,34 +264,29 @@ def _write_json(path, payload):
     _write_text(path, json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
-# about 1 s per mixed-mode point at n = 800 on 2 vCPUs
-_MIXED_N_MAX = 800
+# Largest mixed entanglement --n: at n = 2000 a bracket point took
+# 0.70-0.91 s (t = 0 .. 0.02, 2 vCPUs, one BLAS thread) and the default
+# window left a width of 6.5e-10 in log2; n = 2200 took 0.76-1.03 s.
+_MIXED_N_MAX = 2000
 
 
 def run_entanglement_sweep(cfg):
-    """Rows (t, log negativity) over the time grid.
+    """Rows of log negativity over the time grid.
 
-    In mixed mode the --epsilon window may drop at most _DEFICIT_MAX
-    (1e-9) of the mixture, which log_negativity_mixed counts as product
-    states.  In conditional mode ||psi||_* of the sector comes, untrimmed,
-    from its real entangler parts C and S, as a mixture's sector pair's.
+    In mixed mode each row is (t, lower, upper), the certified
+    log_negativity_bracket of mixed_split_state(n, t, window=epsilon):
+    a wider --epsilon window drops more sectors and widens the bracket.
+    In conditional mode each row is (t, log negativity), ||psi||_* of
+    the sector taken, untrimmed, from its real entangler parts C and S,
+    as a mixture's sector pair's.
     """
-    if cfg.mode == "mixed":
-        if cfg.n > _MIXED_N_MAX:
-            raise UsageError(f"mixed-state negativity is limited to n <= {_MIXED_N_MAX}")
-        # the window, and with it the dropped mass, does not depend on t
-        dropped = 1.0 - mixed_split_state(cfg.n, 0.0, window=cfg.epsilon).retained_mass
-        if dropped > _DEFICIT_MAX:
-            raise UsageError(
-                f"--epsilon {cfg.epsilon!r} drops {dropped:.3g} of the mixture; "
-                f"mixed-state negativity allows at most {_DEFICIT_MAX:g}"
-            )
+    if cfg.mode == "mixed" and cfg.n > _MIXED_N_MAX:
+        raise UsageError(f"mixed-state negativity is limited to n <= {_MIXED_N_MAX}")
 
     def one(t):
         t = float(t)
         if cfg.mode == "mixed":
-            state = mixed_split_state(cfg.n, t, window=cfg.epsilon)
-            return t, log_negativity_mixed(state)
+            return (t, *log_negativity_bracket(mixed_split_state(cfg.n, t, window=cfg.epsilon)))
         s, _ = _entangler_bounds(cfg.nl, cfg.n - cfg.nl, t, 0.0)
         return t, 2.0 * math.log2(s)
 
@@ -499,7 +503,11 @@ _FLAGS = {
     "t-min": dict(type=float, default=0.0),
     "t-max": dict(type=float, default=0.02),
     "steps": dict(type=int, default=200),
-    "epsilon": dict(type=float, default=1e-12, help="mixture truncation window"),
+    "epsilon": dict(
+        type=float,
+        default=1e-12,
+        help="mixture truncation window; a wider one widens the printed bracket",
+    ),
     "format": dict(choices=["csv", "json"], default="csv"),
     "kind": dict(choices=["marginal", "conditional"], default="marginal"),
     "kr": dict(type=int, help="right-well outcome"),
@@ -621,7 +629,8 @@ def _cmd_state(args, echo):
 def _cmd_sweep(args, echo):
     cfg = SweepConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "config")})
     if args.command == "entanglement":
-        columns, rows = ("t", "logneg"), run_entanglement_sweep(cfg)
+        columns = ("t", "logneg_lo", "logneg_hi") if cfg.mode == "mixed" else ("t", "logneg")
+        rows = run_entanglement_sweep(cfg)
     else:
         columns, rows = _CRITERIA_COLUMNS, run_criteria_sweep(cfg)
     if cfg.format == "json":

@@ -82,7 +82,9 @@ class MomentSet:
 
 
 def _gram(state):
-    """Stack (psi, A_1 psi .. A_6 psi) and form all inner products at once."""
+    """Stack (psi, A_1 psi .. A_6 psi) and form all inner products at once,
+    each divided by <psi|psi>: a state is accepted with its squared norm
+    within 1e-9 of 1, and its moments are those of the normalized state."""
     psi = state.psi
     nl, nr = state.n_left, state.n_right
     stack = np.empty((7, psi.size), dtype=complex)
@@ -93,8 +95,8 @@ def _gram(state):
             stack[idx] = _apply_component(psi, axis, well, nl, nr).ravel()
             idx += 1
     g7 = stack.conj() @ stack.T
-    means = g7[0, 1:].real.copy()
-    return g7[1:, 1:], means
+    norm = g7[0, 0].real
+    return g7[1:, 1:] / norm, g7[0, 1:].real / norm
 
 
 def _finalize(raw, means, n_total):
@@ -156,16 +158,18 @@ def _vacuum_port(n, m, c):
 
 
 def _split_moments(full):
-    """MomentSet of a beam-split state from its source amplitudes, O(N)."""
+    """MomentSet of a beam-split state from its source amplitudes, O(N),
+    taken of the normalized source (every product divided by <a|a>)."""
     source = full.source
     n = source.n_total
     a = source.amplitudes[:, None]
+    norm = np.vdot(a, a).real
     images = [_apply_component(a, axis, "left", n, 0) for axis in _COMPONENTS]
-    m = np.array([np.vdot(a, img).real for img in images])
+    m = np.array([np.vdot(a, img).real for img in images]) / norm
     # C from centred images: <S^i S^j> - m_i m_j cancels terms of size
     # N^2 and leaves E_CM(t = 0) at -7e-10 instead of -7e-13 at N = 500
     centred = np.stack([(img - mi * a).ravel() for img, mi in zip(images, m)])
-    c = (centred.conj() @ centred.T).real
+    c = (centred.conj() @ centred.T).real / norm
     return _vacuum_port(n, m, 0.5 * (c + c.T))
 
 

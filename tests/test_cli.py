@@ -237,10 +237,10 @@ def test_entanglement_sweep_endpoints():
     )
     assert code == 0
     config, columns, rows = parse_csv(out)
-    assert columns == ["t", "logneg"]
+    assert columns == ["t", "logneg_lo", "logneg_hi"]
     assert len(rows) == 5
-    assert abs(rows[0][1]) < 1e-9
-    assert abs(rows[-1][1]) < 1e-9
+    assert abs(rows[0][1]) < 1e-9 and abs(rows[0][2]) < 1e-9
+    assert abs(rows[-1][1]) < 1e-9 and abs(rows[-1][2]) < 1e-9
     assert rows[1][1] > 0.5
     assert config["mode"] == "mixed"
     assert config["steps"] == 5
@@ -251,7 +251,7 @@ def test_entanglement_single_step_is_t_min():
     assert code == 0
     _, _, rows = parse_csv(out)
     assert len(rows) == 1
-    assert rows[0] == [0.0, pytest.approx(0.0, abs=1e-9)]
+    assert rows[0] == [0.0, pytest.approx(0.0, abs=1e-9), pytest.approx(0.0, abs=1e-9)]
 
 
 def test_entanglement_conditional_mode_matches_library():
@@ -289,32 +289,39 @@ def test_entanglement_conditional_sector_ordering():
 
 
 def test_entanglement_mixed_size_cap():
-    code, _, err = run_cli(["entanglement", "--n", "801"])
+    code, _, err = run_cli(["entanglement", "--n", "2001"])
     assert code == 2
-    assert "800" in err
+    assert "2000" in err
 
 
-def test_entanglement_mixed_rows_inside_bracket():
-    # the default window drops sectors at n = 100; the rows still sit
-    # inside the certified bracket of the same windowed mixture
-    code, out, _ = run_cli(["entanglement", "--n", "100", "--steps", "3"])
-    assert code == 0
-    _, _, rows = parse_csv(out)
-    assert len(rows) == 3
-    for t, logneg in rows:
-        mixture = mixed_split_state(100, t)
-        assert mixture.retained_mass < 1.0
-        low, high = log_negativity_bracket(mixture)
-        assert low <= logneg <= high, t
+def test_entanglement_mixed_rows_are_the_certified_bracket(untruncated_log_negativity):
+    # each row is, bit for bit, the bracket of the windowed mixture, and
+    # holds the untruncated negativity; a wider window (1e-6 drops
+    # sectors at both sizes) only widens it
+    for n in (100, 800):
+        for epsilon in ("1e-12", "1e-6"):
+            code, out, err = run_cli(
+                ["entanglement", "--n", str(n), "--steps", "3", "--epsilon", epsilon]
+            )
+            assert code == 0, err
+            _, _, rows = parse_csv(out)
+            assert len(rows) == 3
+            for t, low, high in rows:
+                mixture = mixed_split_state(n, t, window=float(epsilon))
+                assert mixture.retained_mass < 1.0
+                want = log_negativity_bracket(mixture)
+                assert (low.hex(), high.hex()) == (want[0].hex(), want[1].hex()), (n, t)
+                assert low <= untruncated_log_negativity(n, t) <= high, (n, epsilon, t)
 
 
-def test_entanglement_window_too_wide_is_usage_error():
-    code, _, err = run_cli(["entanglement", "--n", "100", "--epsilon", "1e-6"])
-    assert code == 2
-    assert err.startswith("error: --epsilon") and len(err.splitlines()) == 1
-    # a wide window that drops nothing is still fine
-    code, _, _ = run_cli(["entanglement", "--n", "6", "--epsilon", "1e-3", "--steps", "2"])
-    assert code == 0
+def test_entanglement_mixed_t0_row_holds_zero():
+    # the coherent product has negativity 0, which the bracket certifies
+    # up to the largest n the command takes
+    for n in (2, 800, 2000):
+        code, out, err = run_cli(["entanglement", "--n", str(n), "--steps", "1"])
+        assert code == 0, err
+        _, _, ((t, low, high),) = parse_csv(out)
+        assert t == 0.0 and low <= 0.0 <= high, (n, low, high)
 
 
 def test_entanglement_json_format():
@@ -323,7 +330,7 @@ def test_entanglement_json_format():
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["columns"] == ["t", "logneg"]
+    assert payload["columns"] == ["t", "logneg_lo", "logneg_hi"]
     assert len(payload["rows"]) == 2
     assert payload["config"]["format"] == "json"
 
@@ -431,15 +438,20 @@ def test_criteria_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_conditional_entanglement_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the sector's singular values come from its real entangler parts;
-    # the complex amplitude matrix's moved in the last bits with the
-    # BLAS thread count at this size
-    blobs = _blas_thread_outputs(
-        tmp_path,
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["entanglement", "--n", "400", "--mode", "conditional", "--nl", "200",
          "--steps", "3", "--t-max", "0.01"],
-    )
+        ["entanglement", "--n", "800", "--steps", "3"],
+    ],
+    ids=["conditional", "mixed"],
+)
+def test_entanglement_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
+    # every sector's singular values come from its real entangler parts;
+    # the complex amplitude matrix's moved in the last bits with the
+    # BLAS thread count at n = 400
+    blobs = _blas_thread_outputs(tmp_path, argv)
     assert blobs[0] == blobs[1]
 
 
@@ -755,6 +767,8 @@ HUGE_N = str(10**200)
           "--steps", "1", "--t-max", "0"], "conditional sector"),
         (["entanglement", "--n", "100000", "--mode", "conditional", "--nl", "20",
           "--steps", "1"], "conditional sector"),
+        # a time grid of 10^12 points would take 8 TB
+        (["criteria", "--n", "10", "--steps", str(10**12)], "--steps is limited"),
     ],
 )
 def test_oversized_n_exits_2_before_allocating(argv, message):
@@ -766,11 +780,14 @@ def test_oversized_n_exits_2_before_allocating(argv, message):
 
 
 def test_size_caps_sit_where_stated():
-    # the largest criteria n and the largest sector are accepted; the
-    # sector is checked on the settings alone, nothing is allocated
+    # the largest criteria n, sector and step count are accepted; they
+    # are checked on the settings alone, nothing is allocated
     assert SweepConfig(n=2046, mode="conditional", nl=1023).nl == 1023  # 1024^2 = 2^20
     with pytest.raises(UsageError, match="conditional sector"):
         SweepConfig(n=2047, mode="conditional", nl=1023)
+    assert SweepConfig(n=4, steps=10**5).steps == 10**5
+    with pytest.raises(UsageError, match="--steps"):
+        SweepConfig(n=4, steps=10**5 + 1)
     code, out, _ = run_cli(["criteria", "--n", str(10**15), "--steps", "2", "--t-max", "0"])
     assert code == 0 and out.count("\n") == 4
 
@@ -1042,6 +1059,7 @@ def test_run_sweeps_accept_config_directly():
     rows = run_entanglement_sweep(cfg)
     assert len(rows) == 3
     assert rows[0][1] == pytest.approx(0.0, abs=1e-9)
+    assert rows[0][2] == pytest.approx(0.0, abs=1e-9)
     crit = run_criteria_sweep(SweepConfig(n=6, steps=2, t_max=0.02))
     assert len(crit) == 2
     assert len(crit[0]) == len(CRITERIA_COLUMNS)

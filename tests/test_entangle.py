@@ -514,10 +514,10 @@ def _uniform_bracket(monkeypatch, mixture):
 
 @pytest.mark.parametrize("n", [120, 200, 500, 800])
 @pytest.mark.parametrize("t", [0.0, 4e-3, 0.02, 0.3])
-def test_weighted_trim_keeps_the_uniform_bracket(monkeypatch, n, t):
+def test_weighted_trim_keeps_the_uniform_bracket(monkeypatch, untruncated_log_negativity, n, t):
     # each pair's weighted slack w sqrt(d) stays at the heaviest pair's,
     # so the bracket barely widens and still holds the exact value
-    exact = log_negativity_mixed(mixed_split_state(n, t, window=0.0))
+    exact = untruncated_log_negativity(n, t)
     for window in (1e-12, 0.0):
         mixture = mixed_split_state(n, t, window=window)
         low, high = log_negativity_bracket(mixture)

@@ -27,6 +27,7 @@ from sqsplit.statekit import (
     split,
     twisted_split,
 )
+from sqsplit.witness import witness_suite
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -110,6 +111,28 @@ def test_moments_coherent_product():
         assert abs(ms.V[i, i] - 5.0) < 1e-12
     assert abs(ms.V[0, 0]) < 1e-12  # fully polarized: S^x eigenstate, zero variance
     assert np.allclose(ms.Omega[0, 1], 2 * ms.means[2], atol=1e-12)
+
+
+def test_moments_are_taken_of_the_normalized_state():
+    # a state is accepted with norm^2 within 1e-9 of 1; its moments are
+    # those of the normalized state, not its raw products: unnormalized,
+    # this product state gave V_xx = -5.0e-6 and E_CM = -5.0e-8
+    scale = math.sqrt(1.0 + 5e-10)
+    psi = effective_evolution(100, 100, 0.0).psi
+    exact = moments(ConditionalState(100, 100, psi))
+    scaled = moments(ConditionalState(100, 100, psi * scale))
+    source = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, 100), 0.01)
+    split_exact = moments(split(source))
+    split_scaled = moments(split(StateVector(100, source.amplitudes * scale)))
+    for got, want in ((scaled, exact), (split_scaled, split_exact)):
+        size = np.abs(want.V).max()
+        assert np.abs(got.V - want.V).max() <= 1e-13 * size
+        assert np.abs(got.means - want.means).max() <= 1e-13 * size
+        assert np.abs(got.Omega - want.Omega).max() <= 1e-13 * size
+    assert scaled.V[0, 0] >= 0.0
+    result = witness_suite(scaled, 0.0)
+    assert abs(result.e_cm) <= 1e-12
+    assert abs(result.xi - 1.0) <= 1e-12
 
 
 def test_moments_omega_structure():
