@@ -294,24 +294,40 @@ def test_entanglement_mixed_size_cap():
     assert "2000" in err
 
 
-def test_entanglement_mixed_rows_are_the_certified_bracket(untruncated_log_negativity):
-    # each row is, bit for bit, the bracket of the windowed mixture, and
-    # holds the untruncated negativity; a wider window (1e-6 drops
-    # sectors at both sizes) only widens it
+def _mixed_rows(n, epsilon):
+    code, out, err = run_cli(
+        ["entanglement", "--n", str(n), "--steps", "3", "--epsilon", epsilon]
+    )
+    assert code == 0, err
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 3
+    return rows
+
+
+def test_entanglement_mixed_rows_inside_bracket(untruncated_log_negativity):
+    # each row is, bit for bit, the bracket of the windowed mixture (the
+    # default window drops sectors at both sizes), and holds the
+    # untruncated negativity
     for n in (100, 800):
-        for epsilon in ("1e-12", "1e-6"):
-            code, out, err = run_cli(
-                ["entanglement", "--n", str(n), "--steps", "3", "--epsilon", epsilon]
-            )
-            assert code == 0, err
-            _, _, rows = parse_csv(out)
-            assert len(rows) == 3
-            for t, low, high in rows:
-                mixture = mixed_split_state(n, t, window=float(epsilon))
-                assert mixture.retained_mass < 1.0
-                want = log_negativity_bracket(mixture)
-                assert (low.hex(), high.hex()) == (want[0].hex(), want[1].hex()), (n, t)
-                assert low <= untruncated_log_negativity(n, t) <= high, (n, epsilon, t)
+        for t, low, high in _mixed_rows(n, "1e-12"):
+            mixture = mixed_split_state(n, t)
+            assert mixture.retained_mass < 1.0
+            want = log_negativity_bracket(mixture)
+            assert (low.hex(), high.hex()) == (want[0].hex(), want[1].hex()), (n, t)
+            assert low <= untruncated_log_negativity(n, t) <= high, (n, t)
+
+
+def test_entanglement_wide_window_widens_bracket(untruncated_log_negativity):
+    # a wider --epsilon is no usage error: it only widens the bracket,
+    # which still holds the untruncated negativity
+    for n in (100, 800):
+        narrow = _mixed_rows(n, "1e-12")
+        for (t, low, high), (_, nlow, nhigh) in zip(_mixed_rows(n, "1e-6"), narrow):
+            mixture = mixed_split_state(n, t, window=1e-6)
+            want = log_negativity_bracket(mixture)
+            assert (low.hex(), high.hex()) == (want[0].hex(), want[1].hex()), (n, t)
+            assert low <= nlow and nhigh <= high, (n, t)
+            assert low <= untruncated_log_negativity(n, t) <= high, (n, t)
 
 
 def test_entanglement_mixed_t0_row_holds_zero():
