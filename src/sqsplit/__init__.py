@@ -33,13 +33,10 @@ from .statekit import (
     SplitFullState,
     SplitMixedState,
     StateVector,
-    ZeroProbabilityError,
     effective_evolution,
     mixed_split_state,
     one_axis_twist,
-    project_left_number,
     spin_coherent,
-    split,
     twisted_split,
 )
 from .wigner import (
@@ -74,12 +71,9 @@ __all__ = [
     "ConditionalState",
     "SplitFullState",
     "SplitMixedState",
-    "ZeroProbabilityError",
     "spin_coherent",
     "one_axis_twist",
-    "split",
     "twisted_split",
-    "project_left_number",
     "effective_evolution",
     "mixed_split_state",
     # observables

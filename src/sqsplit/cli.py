@@ -71,9 +71,7 @@ from .statekit import (
     effective_evolution,
     mixed_split_state,
     one_axis_twist,
-    project_left_number,
     spin_coherent,
-    split,
     twisted_split,
 )
 from .wigner import conditional_wigner_closed, display_lattice, marginal_wigner_closed
@@ -438,9 +436,8 @@ def run_equivalence_suite(
     for n in range(1, max_n + 1):
         for t in t_values:
             state = one_axis_twist(spin_coherent(_INV_SQRT2, _INV_SQRT2, n), t)
-            full = split(state)
             closed = moments(twisted_split(n, t))
-            moment_err = _worse(moment_err, _moment_gap(closed, moments(full)))
+            moment_err = _worse(moment_err, _moment_gap(closed, _oracles.split_moments(state)))
             mixture = mixed_split_state(n, t, window=0.0)
             sectors = _oracles.mixture_moments(mixture.blocks)
             mixture_err = _worse(mixture_err, _moment_gap(sectors, closed))
@@ -450,7 +447,7 @@ def run_equivalence_suite(
             outside = 0.0 if low <= dense <= high else max(low - dense, dense - high)
             excess = _worse(excess, outside)
             for n_left in range(n + 1):
-                prob, cond = project_left_number(full, n_left)
+                prob, cond = _oracles.project_left_number(state, n_left)
                 reference = effective_evolution(n_left, n - n_left, t)
                 psi = reference.psi
                 if phase_error != 0.0:

@@ -10,8 +10,8 @@ O(N^2) and exact.  First and second moments of the six components
 MomentSet: the symmetrized covariance matrix V and the commutator
 matrix Omega that the entanglement witnesses consume.  The moments of
 a beam-split state follow from those of the single ensemble that
-entered the splitter: in O(N) from its amplitudes, or in O(1) from the
-closed forms of the one-axis-twisted coherent state.
+entered the splitter, in O(1) from the closed forms of the
+one-axis-twisted coherent state.
 """
 
 import math
@@ -157,22 +157,6 @@ def _vacuum_port(n, m, c):
     )
 
 
-def _split_moments(full):
-    """MomentSet of a beam-split state from its source amplitudes, O(N),
-    taken of the normalized source (every product divided by <a|a>)."""
-    source = full.source
-    n = source.n_total
-    a = source.amplitudes[:, None]
-    norm = np.vdot(a, a).real
-    images = [_apply_component(a, axis, "left", n, 0) for axis in _COMPONENTS]
-    m = np.array([np.vdot(a, img).real for img in images]) / norm
-    # C from centred images: <S^i S^j> - m_i m_j cancels terms of size
-    # N^2 and leaves E_CM(t = 0) at -7e-10 instead of -7e-13 at N = 500
-    centred = np.stack([(img - mi * a).ravel() for img, mi in zip(images, m)])
-    c = (centred.conj() @ centred.T).real / norm
-    return _vacuum_port(n, m, 0.5 * (c + c.T))
-
-
 def _cos_power(k, s, c):
     """cos^k of the angle whose sine is s and cosine is c, k >= 0.
 
@@ -229,26 +213,22 @@ def _twist_moments(n, t):
 def moments(state):
     """MomentSet of a ConditionalState or SplitFullState.
 
-    A SplitFullState is read from the ensemble that entered the
-    splitter.  For twisted_split(n, t) that ensemble is the twisted
-    coherent state, whose moments are closed forms (Kitagawa & Ueda,
-    PRA 47, 5138 (1993)): O(1) at any N, no amplitude is built.  For
-    split(state) of any StateVector the moments take O(N) from its
-    amplitudes.  Every one of the six components conserves the left
-    atom number, so these are also exactly the moments of the
-    number-collapsed mixture over all left-well sectors:
-    mixed_split_state(n, t, window=0) has the moments of
-    twisted_split(n, t), which `sqsplit verify` checks against the
-    sector-by-sector sum of sqsplit._oracles.
+    A SplitFullState, twisted_split(n, t), is read from the ensemble
+    that entered the splitter, the twisted coherent state, whose
+    moments are closed forms (Kitagawa & Ueda, PRA 47, 5138 (1993)):
+    O(1) at any N, no amplitude is built.  Every one of the six
+    components conserves the left atom number, so these are also
+    exactly the moments of the number-collapsed mixture over all
+    left-well sectors: mixed_split_state(n, t, window=0) has the
+    moments of twisted_split(n, t), which `sqsplit verify` checks
+    against the O(N) moments of the split amplitudes and the
+    sector-by-sector sum, both in sqsplit._oracles.
     """
     if isinstance(state, ConditionalState):
         raw, means = _gram(state)
         ms = _finalize(raw, means, state.n_total)
     elif isinstance(state, SplitFullState):
-        if state.t is None:
-            ms = _split_moments(state)
-        else:
-            ms = _vacuum_port(state.n_total, *_twist_moments(state.n_total, state.t))
+        ms = _vacuum_port(state.n_total, *_twist_moments(state.n_total, state.t))
     else:
         raise TypeError("moments expects a ConditionalState or SplitFullState")
     return ms

@@ -24,18 +24,14 @@ __all__ = [
     "SplitFullState",
     "ConditionalState",
     "SplitMixedState",
-    "ZeroProbabilityError",
     "spin_coherent",
     "one_axis_twist",
-    "split",
     "twisted_split",
-    "project_left_number",
     "effective_evolution",
     "mixed_split_state",
 ]
 
 _LN2 = math.log(2.0)
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Entries of each cache keyed by one well's atom number: the 155 of an
 # N = 500 mixture fit; unbounded, the 3799 sectors of one N = 10^4
@@ -46,10 +42,6 @@ _PER_N_CACHE = 256
 # check of it: StateVector, ConditionalState, the Schmidt spectrum of a
 # ConditionalState and the real entangler parts of one sector.
 _NORM_TOL = 1e-9
-
-
-class ZeroProbabilityError(ValueError):
-    """Raised when projecting on a measurement outcome of zero probability."""
 
 
 @dataclass(frozen=True)
@@ -149,58 +141,25 @@ class SplitMixedState:
         return float(sum(w for w, _ in self.sectors))
 
 
+@dataclass(frozen=True)
 class SplitFullState:
-    """Lazy view of a beam-split state, organized by left atom number.
+    """The x-polarized coherent state of n_total atoms, twisted for time
+    t and sent through the 50/50 beam splitter, recorded as (n_total, t).
 
-    Sector matrices are materialized one at a time (O(N^2) memory per
-    call); nothing quadratic in the number of sectors is ever stored.
-
-    split() records the StateVector that entered the splitter, and t is
-    None.  twisted_split(n, t) records only n and the twisting time t of
-    the x-polarized coherent state and builds its source amplitudes on
-    first access, so a consumer that needs only (n, t) never pays for
-    (or, at very large n, fails on) the amplitude vector.
+    twisted_split builds it, and moments() reads it in closed form, O(1)
+    at any n_total; no amplitude is ever built.  The literal splitter
+    expansion and the projection on a left atom number, which pin that
+    closed form and effective_evolution, are oracles in sqsplit._oracles.
     """
 
-    def __init__(self, source):
-        self.source = source
-        self.n_total = source.n_total
-        self.t = None
+    n_total: int
+    t: float
 
-    @classmethod
-    def _twisted(cls, n_total, t):
-        full = cls.__new__(cls)
-        full.n_total = n_total
-        full.t = t
-        return full
-
-    @cached_property
-    def source(self):
-        """The StateVector that entered the beam splitter."""
-        # only reached for a recorded-t split; __init__ sets source on
-        # the instance
-        coherent = spin_coherent(_INV_SQRT2, _INV_SQRT2, self.n_total)
-        return one_axis_twist(coherent, self.t)
-
-    def sector(self, n_left):
-        """Unnormalized amplitude matrix of the n_left sector.
-
-        For input amplitudes c_k the split amplitude is
-        2^{-N/2} sqrt(C(k, k_l) C(N-k, N_L-k_l)) c_k with k = k_l + k_r,
-        which is the generic 50/50 beam splitter expansion for any
-        state, not just twisted coherent ones.
-        """
-        n = self.n_total
-        if not 0 <= n_left <= n:
-            raise ValueError("n_left out of range")
-        n_right = n - n_left
-        k_l = np.arange(n_left + 1)[:, None]
-        k_r = np.arange(n_right + 1)[None, :]
-        k = k_l + k_r
-        logw = 0.5 * (
-            log_binomial(k, k_l) + log_binomial(n - k, n_left - k_l)
-        ) - 0.5 * n * _LN2
-        return np.exp(logw) * self.source.amplitudes[k]
+    def __post_init__(self):
+        if not (isinstance(self.n_total, int) and self.n_total >= 0):
+            raise ValueError("atom number must be a nonnegative integer")
+        if not math.isfinite(self.t):
+            raise ValueError("twisting time must be finite")
 
 
 def spin_coherent(alpha, beta, n):
@@ -242,38 +201,17 @@ def one_axis_twist(state, t):
     return StateVector(n, state.amplitudes * phases)
 
 
-def split(state):
-    """Send the ensemble through a 50/50 beam splitter into two wells."""
-    return SplitFullState(state)
-
-
 def twisted_split(n, t):
-    """split(one_axis_twist(spin_coherent(1/sqrt(2), 1/sqrt(2), n), t)),
-    recorded as (n, t).
+    """one_axis_twist(spin_coherent(1/sqrt(2), 1/sqrt(2), n), t) after
+    the beam splitter, as the record SplitFullState(n, t).
 
-    moments() reads this state in closed form, O(1) at any n; sector()
-    and project_left_number build the source amplitudes on first use.
+    An integral float n such as 500.0 is taken as that integer; any
+    other n is refused, not truncated.
     """
-    if n < 0:
-        raise ValueError("atom number must be nonnegative")
-    if not math.isfinite(t):
-        raise ValueError("twisting time must be finite")
-    return SplitFullState._twisted(int(n), float(t))
-
-
-def project_left_number(full, n_left):
-    """Project the split state on left atom number n_left.
-
-    Returns (probability, normalized ConditionalState).  A zero-mass
-    sector is an impossible measurement outcome and raises.
-    """
-    a = full.sector(n_left)
-    mass = float(np.vdot(a, a).real)
-    if mass <= 1e-300:
-        raise ZeroProbabilityError(
-            f"sector n_left = {n_left} has zero probability; cannot condition on it"
-        )
-    return mass, ConditionalState(n_left, full.n_total - n_left, a / math.sqrt(mass))
+    # written so that a NaN or infinite n fails too
+    if not float(n).is_integer():
+        raise ValueError("atom number must be an integer")
+    return SplitFullState(int(n), float(t))
 
 
 @lru_cache(maxsize=_PER_N_CACHE)
@@ -349,8 +287,9 @@ def mixed_split_state(n, t, window=1e-12):
     """
     if n < 0:
         raise ValueError("atom number must be nonnegative")
-    if window < 0:
-        raise ValueError("truncation window must be nonnegative")
+    # written so that a NaN window fails too; it would keep every sector
+    if not 0.0 <= window < math.inf:
+        raise ValueError("truncation window must be finite and nonnegative")
     weights = np.exp(log_binomial(n, np.arange(n + 1)) - n * _LN2).tolist()
     retained = []
     cum = 0.0

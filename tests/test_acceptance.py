@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from sqsplit._oracles import log_negativity_dense, mixture_moments
+from sqsplit._oracles import log_negativity_dense, mixture_moments, project_left_number
 from sqsplit.cli import SweepConfig, main, run_criteria_sweep, run_equivalence_suite
 from sqsplit.entangle import log_negativity_mixed, log_negativity_pure
 from sqsplit.observables import project_right_fock, reduced_density_left
@@ -28,9 +28,7 @@ from sqsplit.statekit import (
     effective_evolution,
     mixed_split_state,
     one_axis_twist,
-    project_left_number,
     spin_coherent,
-    split,
 )
 from sqsplit.wigner import (
     conditional_wigner_closed,
@@ -91,8 +89,7 @@ def test_criterion_02_sector_probability_law():
             state = one_axis_twist(
                 spin_coherent(1 / math.sqrt(2), 1 / math.sqrt(2), n), t
             )
-            full = split(state)
-            probs = [project_left_number(full, nl)[0] for nl in range(n + 1)]
+            probs = [project_left_number(state, nl)[0] for nl in range(n + 1)]
             for nl, p in enumerate(probs):
                 want = math.comb(n, nl) / 2.0**n
                 assert abs(p - want) / want < 1e-12, (n, nl, t)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqsplit import entangle, statekit
-from sqsplit._oracles import block_trace_norms, log_negativity_dense
+from sqsplit._oracles import block_trace_norms, log_negativity_dense, split_sector
 from sqsplit.entangle import (
     _TRIM_BUDGET,
     _TRIM_CAP,
@@ -29,7 +29,6 @@ from sqsplit.statekit import (
     mixed_split_state,
     one_axis_twist,
     spin_coherent,
-    split,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -135,11 +134,11 @@ def test_dense_handles_coherent_superposition_of_sectors():
     # the unprojected split state is pure; its trace norm is the
     # weighted union of the sector Schmidt spectra
     t = 0.3
-    full = split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, 6), t))
-    dense = log_negativity_dense(full)
+    source = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, 6), t)
+    dense = log_negativity_dense(source)
     union = 0.0
     for l in range(7):
-        a = full.sector(l)
+        a = split_sector(source, l)
         p = float(np.vdot(a, a).real)
         lam = np.linalg.svd(a / math.sqrt(p), compute_uv=False)
         union += math.sqrt(p) * float(np.sum(lam))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqsplit._oracles import mixture_moments
+from sqsplit._oracles import mixture_moments, project_left_number, split_moments
 from sqsplit.observables import (
     DensityMatrix,
     MomentSet,
@@ -22,9 +22,7 @@ from sqsplit.statekit import (
     effective_evolution,
     mixed_split_state,
     one_axis_twist,
-    project_left_number,
     spin_coherent,
-    split,
     twisted_split,
 )
 from sqsplit.witness import witness_suite
@@ -122,8 +120,8 @@ def test_moments_are_taken_of_the_normalized_state():
     exact = moments(ConditionalState(100, 100, psi))
     scaled = moments(ConditionalState(100, 100, psi * scale))
     source = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, 100), 0.01)
-    split_exact = moments(split(source))
-    split_scaled = moments(split(StateVector(100, source.amplitudes * scale)))
+    split_exact = split_moments(source)
+    split_scaled = split_moments(StateVector(100, source.amplitudes * scale))
     for got, want in ((scaled, exact), (split_scaled, split_exact)):
         size = np.abs(want.V).max()
         assert np.abs(got.V - want.V).max() <= 1e-13 * size
@@ -217,10 +215,8 @@ def test_split_moments_match_sector_mixture(n, t):
     # S_L and S_R conserve N_L, so the untruncated number-collapsed
     # mixture has the moments of the split state itself
     twisted = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t)
-    full = split(twisted)
-    assert full.source is twisted
     sectors = mixed_split_state(n, t, window=0.0).blocks
-    _assert_moments_agree(moments(full), mixture_moments(sectors))
+    _assert_moments_agree(split_moments(twisted), mixture_moments(sectors))
 
 
 def test_split_moments_of_random_states_match_projected_sectors():
@@ -230,9 +226,9 @@ def test_split_moments_of_random_states_match_projected_sectors():
     for n in range(13):
         for _ in range(3):
             amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-            full = split(StateVector(n, amps / np.linalg.norm(amps)))
-            blocks = [project_left_number(full, l) for l in range(n + 1)]
-            _assert_moments_agree(moments(full), mixture_moments(blocks))
+            source = StateVector(n, amps / np.linalg.norm(amps))
+            blocks = [project_left_number(source, l) for l in range(n + 1)]
+            _assert_moments_agree(split_moments(source), mixture_moments(blocks))
 
 
 def _max_moment_gap(got, want):
@@ -248,7 +244,7 @@ def test_twisted_split_closed_form_matches_split_amplitudes(n, t):
     # the O(N) route through the source amplitudes is the oracle of the
     # closed-form moments
     got = moments(twisted_split(n, t))
-    want = moments(split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t)))
+    want = split_moments(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t))
     assert got.n_total == want.n_total == n
     assert _max_moment_gap(got, want) <= 1e-12 * float(np.abs(want.V).max())
 

@@ -26,12 +26,9 @@ PUBLIC = [
     "ConditionalState",
     "SplitFullState",
     "SplitMixedState",
-    "ZeroProbabilityError",
     "spin_coherent",
     "one_axis_twist",
-    "split",
     "twisted_split",
-    "project_left_number",
     "effective_evolution",
     "mixed_split_state",
     # observables
@@ -79,8 +76,12 @@ REMOVED = {
     "sqsplit": [
         "SpinLabel", "apply_spin", "right_outcome_distribution",
         "log_negativity_dense", "log_factorial", "wigner_3j", "spherical_harmonic",
+        "split", "project_left_number", "ZeroProbabilityError",
     ],
-    "sqsplit.observables": ["SpinLabel", "apply_spin", "right_outcome_distribution"],
+    "sqsplit.statekit": ["split", "project_left_number", "ZeroProbabilityError"],
+    "sqsplit.observables": [
+        "SpinLabel", "apply_spin", "right_outcome_distribution", "_split_moments",
+    ],
     "sqsplit.entangle": ["log_negativity_dense", "_dense_basis", "_partial_transpose_trace_norm"],
     "sqsplit.specfun": ["log_factorial", "wigner_3j", "_as_two_j", "spherical_harmonic"],
 }
@@ -158,14 +159,27 @@ SRC = Path(sqsplit.__file__).resolve().parent
 
 
 def test_commands_leave_the_oracles_unimported(tmp_path):
-    # a fresh process runs a criteria and a wigner command line; nothing
-    # on either path may load the oracle module
+    # a fresh process runs every command but verify, each mode of
+    # entanglement and criteria; nothing on any path may load the
+    # oracle module
+    out = {name: str(tmp_path / name) for name in (
+        "s.json", "em.csv", "ec.csv", "c.csv", "cc.csv", "st.csv", "w.csv", "wc.csv",
+    )}
     script = f"""
 import sys
 import sqsplit, sqsplit.cli
 for argv in (
-    ["criteria", "--n", "20", "--steps", "3", "--out", {str(tmp_path / "c.csv")!r}],
-    ["wigner", "--n", "6", "--nl", "3", "--t", "0.1", "--out", {str(tmp_path / "w.csv")!r}],
+    ["state", "--n", "6", "--nl", "2", "--t", "0.1", "--out", {out["s.json"]!r}],
+    ["entanglement", "--n", "8", "--steps", "3", "--out", {out["em.csv"]!r}],
+    ["entanglement", "--mode", "conditional", "--n", "8", "--nl", "3", "--steps", "3",
+     "--out", {out["ec.csv"]!r}],
+    ["criteria", "--n", "20", "--steps", "3", "--out", {out["c.csv"]!r}],
+    ["criteria", "--mode", "conditional", "--n", "20", "--nl", "7", "--steps", "3",
+     "--out", {out["cc.csv"]!r}],
+    ["steering", "--n", "20", "--steps", "3", "--out", {out["st.csv"]!r}],
+    ["wigner", "--n", "6", "--nl", "3", "--t", "0.1", "--out", {out["w.csv"]!r}],
+    ["wigner", "--n", "6", "--nl", "3", "--kind", "conditional", "--kr", "1", "--t", "0.1",
+     "--out", {out["wc.csv"]!r}],
 ):
     assert sqsplit.cli.main(argv) == 0, argv
 print("sqsplit._oracles" in sys.modules)
@@ -178,7 +192,9 @@ print("sqsplit._oracles" in sys.modules)
         check=True,
     )
     assert result.stdout.strip() == "False"
-    assert (tmp_path / "c.csv").exists() and (tmp_path / "w.json").exists()
+    for path in out.values():
+        assert Path(path).exists(), path
+    assert (tmp_path / "w.json").exists() and (tmp_path / "wc.json").exists()
 
 
 def _oracle_imports(tree):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -7,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqsplit import observables, statekit
+from sqsplit._oracles import ZeroProbabilityError, project_left_number, split_sector
 from sqsplit.statekit import (
     ConditionalState,
     SplitMixedState,
     StateVector,
-    ZeroProbabilityError,
     effective_evolution,
     mixed_split_state,
     one_axis_twist,
-    project_left_number,
     spin_coherent,
-    split,
     twisted_split,
 )
 
@@ -162,32 +161,28 @@ def _split_oracle_sector(state, n_left):
     return out
 
 
-def _sector_masses(full):
+def _sector_masses(source):
     """Squared norm of every left-atom-number sector of a split state."""
-    return np.array(
-        [np.vdot(a, a).real for a in map(full.sector, range(full.n_total + 1))]
-    )
+    sectors = (split_sector(source, l) for l in range(source.n_total + 1))
+    return np.array([np.vdot(a, a).real for a in sectors])
 
 
 def test_split_single_atom():
     state = StateVector(1, np.array([0.0, 1.0], dtype=complex))
-    full = split(state)
-    masses = _sector_masses(full)
+    masses = _sector_masses(state)
     assert abs(masses[0] - 0.5) < 1e-15
     assert abs(masses[1] - 0.5) < 1e-15
 
 
 def test_split_total_mass_random_input():
-    full = split(_random_state(9, seed=8))
-    assert abs(_sector_masses(full).sum() - 1.0) < 1e-12
+    assert abs(_sector_masses(_random_state(9, seed=8)).sum() - 1.0) < 1e-12
 
 
 def test_split_matches_symbolic_expansion():
     for n in range(1, 6):
         state = _random_state(n, seed=100 + n)
-        full = split(state)
         for n_left in range(n + 1):
-            got = full.sector(n_left)
+            got = split_sector(state, n_left)
             want = _split_oracle_sector(state, n_left)
             assert np.allclose(got, want, atol=1e-12), (n, n_left)
 
@@ -196,16 +191,16 @@ def test_split_sector_masses_binomial_for_twisted_coherent():
     n = 12
     weights = np.array([math.comb(n, l) / 2**n for l in range(n + 1)])
     for t in (0.0, 0.37, math.pi / 8):
-        full = split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t))
-        assert np.allclose(_sector_masses(full), weights, atol=1e-13)
+        state = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t)
+        assert np.allclose(_sector_masses(state), weights, atol=1e-13)
 
 
 def test_split_sector_range_check():
-    full = split(_random_state(3, seed=1))
+    state = _random_state(3, seed=1)
     with pytest.raises(ValueError):
-        full.sector(4)
+        split_sector(state, 4)
     with pytest.raises(ValueError):
-        full.sector(-1)
+        split_sector(state, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +209,17 @@ def test_split_sector_range_check():
 
 def test_project_probability_and_normalization():
     n = 10
-    full = split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), 0.3))
-    p, cond = project_left_number(full, 5)
+    state = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), 0.3)
+    p, cond = project_left_number(state, 5)
     assert abs(p - 252 / 1024) < 1e-13
     assert abs(np.vdot(cond.psi, cond.psi).real - 1.0) < 1e-12
     for n_left in range(n + 1):
-        _, c = project_left_number(full, n_left)
+        _, c = project_left_number(state, n_left)
         assert abs(np.vdot(c.psi, c.psi).real - 1.0) < 1e-12
 
 
 def test_project_at_zero_time_is_product_coherent():
-    full = split(spin_coherent(INV_SQRT2, INV_SQRT2, 8))
-    _, cond = project_left_number(full, 3)
+    _, cond = project_left_number(spin_coherent(INV_SQRT2, INV_SQRT2, 8), 3)
     left = spin_coherent(INV_SQRT2, INV_SQRT2, 3).amplitudes
     right = spin_coherent(INV_SQRT2, INV_SQRT2, 5).amplitudes
     assert np.allclose(cond.psi, np.outer(left, right), atol=1e-13)
@@ -233,7 +227,7 @@ def test_project_at_zero_time_is_product_coherent():
 
 def test_project_zero_probability_sector():
     # a silent all-zero source models an impossible measurement record
-    dead = split(types.SimpleNamespace(n_total=2, amplitudes=np.zeros(3)))
+    dead = types.SimpleNamespace(n_total=2, amplitudes=np.zeros(3))
     with pytest.raises(ZeroProbabilityError):
         project_left_number(dead, 1)
 
@@ -245,9 +239,9 @@ def test_project_zero_probability_sector():
 def test_effective_evolution_equals_pipeline():
     for n in range(1, 9):
         for t in (0.05, 0.3, 1.0):
-            full = split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t))
+            state = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t)
             for n_left in range(n + 1):
-                _, cond = project_left_number(full, n_left)
+                _, cond = project_left_number(state, n_left)
                 direct = effective_evolution(n_left, n - n_left, t)
                 assert np.allclose(cond.psi, direct.psi, atol=1e-12), (n, n_left, t)
 
@@ -320,7 +314,7 @@ def test_phase_periodicity():
 def test_unitarity_chain():
     state = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, 20), 0.77)
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
-    assert abs(_sector_masses(split(state)).sum() - 1.0) < 1e-12
+    assert abs(_sector_masses(state).sum() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +353,11 @@ def test_mixture_input_validation():
         mixed_split_state(-1, 0.1)
     with pytest.raises(ValueError):
         mixed_split_state(4, 0.1, window=-1e-3)
+    # a NaN window compared false both ways and kept all 501 sectors of
+    # N = 500, where the default keeps 155
+    for window in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mixed_split_state(500, 0.01, window=window)
 
 
 def test_mixed_state_type_guards():
@@ -382,8 +381,7 @@ def test_mixed_state_type_guards():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(0, 60), t=st.floats(0.0, math.pi / 4))
 def test_sector_masses_sum_to_one(n, t):
-    full = split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t))
-    masses = _sector_masses(full)
+    masses = _sector_masses(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t))
     assert abs(float(np.sum(masses)) - 1.0) < 1e-12
     weights = [w for w, _ in mixed_split_state(n, t, window=0.0).blocks]
     assert np.allclose(masses, weights, rtol=1e-10, atol=0.0)
@@ -468,31 +466,33 @@ def test_mixture_rejects_non_finite_time(t):
         mixed_split_state(6, t)
 
 
-def test_twisted_split_records_n_and_t_and_builds_its_source_lazily(monkeypatch):
+def test_twisted_split_records_n_and_t_and_builds_no_source(monkeypatch):
     def refuse(*args):
         raise AssertionError("the source amplitudes were built")
 
     monkeypatch.setattr(statekit, "spin_coherent", refuse)
+    monkeypatch.setattr(statekit, "one_axis_twist", refuse)
     full = twisted_split(100000, 0.0037)
     assert (full.n_total, full.t) == (100000, 0.0037)
-    monkeypatch.undo()
-    # a consumer that asks for the amplitudes gets split(one_axis_twist(...))
-    n, t = 9, 0.41
-    full = twisted_split(n, t)
-    want = split(one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, n), t))
-    assert np.array_equal(full.source.amplitudes, want.source.amplitudes)
-    assert full.source is full.source
-    for n_left in range(n + 1):
-        assert np.array_equal(full.sector(n_left), want.sector(n_left))
-    prob, cond = project_left_number(full, 4)
-    assert abs(prob - math.comb(n, 4) / 2**n) < 1e-14
-    assert np.abs(cond.psi - effective_evolution(4, 5, t).psi).max() < 1e-12
-    # split() records its source and no time
-    assert want.t is None
+    # the closed-form moments are all a consumer reads; the record is
+    # (n, t) and nothing else
+    assert observables.moments(full).n_total == 100000
+    assert dataclasses.astuple(full) == (100000, 0.0037)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        full.t = 0.1
+    # an integral float n is that integer; the record refuses any other
+    assert twisted_split(100000.0, 0.0037) == full
+    assert type(twisted_split(100000.0, 0.0037).n_total) is int
+    with pytest.raises(ValueError):
+        statekit.SplitFullState(10.7, 0.0037)
 
 
-@pytest.mark.parametrize("n, t", [(-1, 0.1), (4, math.nan), (4, math.inf)])
+@pytest.mark.parametrize(
+    "n, t",
+    [(-1, 0.1), (4, math.nan), (4, math.inf), (10.7, 0.01), (math.nan, 0.1), (math.inf, 0.1)],
+)
 def test_twisted_split_rejects_bad_input(n, t):
+    # 10.7 atoms is refused, not truncated to the n = 10 record
     with pytest.raises(ValueError):
         twisted_split(n, t)
 

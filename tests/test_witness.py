@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from sqsplit._oracles import mixture_moments
+from sqsplit._oracles import mixture_moments, split_moments
 from sqsplit.observables import MomentSet, moments, rotate_moments
 from sqsplit.statekit import (
     ConditionalState,
@@ -14,7 +14,6 @@ from sqsplit.statekit import (
     mixed_split_state,
     one_axis_twist,
     spin_coherent,
-    split,
     twisted_split,
 )
 from sqsplit.witness import (
@@ -35,7 +34,7 @@ def _split_moments(n, t):
     """Moments of the number-collapsed mixture by the O(N) split-state
     route, which tests/test_observables.py pins to the sector route."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return moments(split(one_axis_twist(spin_coherent(inv_sqrt2, inv_sqrt2, n), t)))
+    return split_moments(one_axis_twist(spin_coherent(inv_sqrt2, inv_sqrt2, n), t))
 
 
 def _random_hermitian(d, seed):
@@ -317,7 +316,7 @@ def _coherent_products():
     cases = []
     for n in (8, 500):
         coherent = spin_coherent(1 / math.sqrt(2), 1 / math.sqrt(2), n)
-        ms = moments(split(one_axis_twist(coherent, 0.0)))
+        ms = split_moments(one_axis_twist(coherent, 0.0))
         cases.append(rotate_moments(ms, squeezing_angle(n, 0.0)))
     return cases
 
