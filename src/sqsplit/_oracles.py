@@ -4,11 +4,16 @@ No production path calls into this module.  `sqsplit verify`
 (cli.run_equivalence_suite, which imports it inside the function) and
 the tests hold each fast path against the route here that pins it:
 
+- Sector, a hand-built (n_left, n_right, psi) amplitude matrix, is
+  what the routes here build and the tests hand them;
 - split_sector, the 50/50 beam-splitter expansion of the StateVector
   that enters the splitter, and project_left_number, which collapses it
   on a left atom number, pin effective_evolution (split-then-project
   equals squeezing each cloud plus the entangler) and the binomial
   sector law;
+- sector_moments, the O(N^2) Gram matrix of the spin-component
+  stencils on one amplitude matrix, pins the closed-form moments of a
+  ConditionalState;
 - split_moments, O(N) from the amplitudes that enter the splitter, and
   mixture_moments, _gram summed sector by sector, pin the closed-form
   moments of twisted_split (and with them the moments of the number
@@ -17,22 +22,149 @@ the tests hold each fast path against the route here that pins it:
   wigner._threej_table;
 - log_negativity_dense, the explicit partial transpose, pins
   log_negativity_pure, log_negativity_mixed and log_negativity_bracket;
-- block_trace_norms, one complex SVD per block of any list of
-  (weight, ConditionalState), pins the real C/S decomposition that
-  _block_trace_norms makes of a mixture's sectors.
+- schmidt_svd and log_negativity_svd, the complex SVD of one amplitude
+  matrix, and block_trace_norms, one per block of any list of
+  (weight, state), pin the real C/S decomposition that schmidt,
+  log_negativity_pure and _block_trace_norms make.
 """
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import observables
+from .entangle import SchmidtSpectrum
+from .observables import MomentSet, _vacuum_port
 from .specfun import _log_facts, log_binomial
-from .statekit import _LN2, ConditionalState, SplitMixedState, StateVector
+from .statekit import (
+    _LN2,
+    _NORM_TOL,
+    _PER_N_CACHE,
+    ConditionalState,
+    SplitMixedState,
+    StateVector,
+)
 
 
 class ZeroProbabilityError(ValueError):
     """Raised when projecting on a measurement outcome of zero probability."""
+
+
+@dataclass(frozen=True)
+class Sector:
+    """Hand-built normalized two-well pure state at fixed left atom number.
+
+    psi[k_l, k_r] is the amplitude for k_l atoms of mode a in the left
+    well and k_r in the right well.  Every route here that reads .psi
+    takes a Sector or a ConditionalState record alike.
+    """
+
+    n_left: int
+    n_right: int
+    psi: np.ndarray
+
+    def __post_init__(self):
+        if self.n_left < 0 or self.n_right < 0:
+            raise ValueError("well populations must be nonnegative")
+        if self.psi.shape != (self.n_left + 1, self.n_right + 1):
+            raise ValueError("amplitude matrix shape must be (n_left+1, n_right+1)")
+        norm = float(np.vdot(self.psi, self.psi).real)
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= _NORM_TOL:
+            raise ValueError(f"conditional state is not normalized (norm^2 = {norm})")
+
+    @property
+    def n_total(self):
+        return self.n_left + self.n_right
+
+
+_COMPONENTS = ("x", "y", "z")
+_WELLS = ("left", "right")
+
+
+@lru_cache(maxsize=_PER_N_CACHE)
+def _ladder(n):
+    """sqrt((k+1)(n-k)) for k = 0..n-1 (raising coefficients)."""
+    k = np.arange(n)
+    u = np.sqrt((k + 1.0) * (n - k))
+    u.setflags(write=False)
+    return u
+
+
+def _apply_component(psi, axis, well, n_left, n_right):
+    """S^axis of one well applied to the amplitude matrix psi as a
+    banded stencil (no operator matrix is built)."""
+    if well == "right":
+        # the right well acts on the second index: the left-well body on psi.T
+        return _apply_component(psi.T, axis, "left", n_right, n_left).T
+    n = n_left
+    if axis == "z":
+        m = 2.0 * np.arange(n + 1) - n
+        return m[:, None] * psi
+    out = np.zeros_like(psi)
+    if n == 0:
+        return out
+    u = _ladder(n)[:, None]
+    if axis == "x":
+        out[1:] += u * psi[:-1]
+        out[:-1] += u * psi[1:]
+    else:  # y
+        out[1:] += -1j * u * psi[:-1]
+        out[:-1] += 1j * u * psi[1:]
+    return out
+
+
+def _gram(state):
+    """Stack (psi, A_1 psi .. A_6 psi) and form all inner products at once,
+    each divided by <psi|psi>: a state is accepted with its squared norm
+    within 1e-9 of 1, and its moments are those of the normalized state."""
+    psi = state.psi
+    nl, nr = state.n_left, state.n_right
+    stack = np.empty((7, psi.size), dtype=complex)
+    stack[0] = psi.ravel()
+    idx = 1
+    for well in _WELLS:
+        for axis in _COMPONENTS:
+            stack[idx] = _apply_component(psi, axis, well, nl, nr).ravel()
+            idx += 1
+    g7 = stack.conj() @ stack.T
+    norm = g7[0, 0].real
+    return g7[1:, 1:] / norm, g7[0, 1:].real / norm
+
+
+def _finalize(raw, means, n_total):
+    v = raw.real - np.outer(means, means)
+    omega = 2.0 * raw.imag
+    # different wells commute exactly
+    omega[:3, 3:] = 0.0
+    omega[3:, :3] = 0.0
+    v = 0.5 * (v + v.T)
+    omega = 0.5 * (omega - omega.T)
+    return MomentSet(n_total, means, v, omega)
+
+
+def sector_moments(state):
+    """MomentSet of one Sector or ConditionalState from its amplitude
+    matrix, the Gram matrix of the stencil images (_gram, looked up at
+    call time), O(N^2)."""
+    return _finalize(*_gram(state), state.n_total)
+
+
+def _nuclear_norm(psi):
+    return float(np.sum(np.linalg.svd(psi, compute_uv=False)))
+
+
+def schmidt_svd(state):
+    """Schmidt spectrum of a Sector or ConditionalState from the complex
+    SVD of its amplitude matrix."""
+    return SchmidtSpectrum(np.linalg.svd(state.psi, compute_uv=False))
+
+
+def log_negativity_svd(state):
+    """2 log2 of the summed singular values of the complex amplitude
+    matrix of a Sector or ConditionalState."""
+    return 2.0 * math.log2(_nuclear_norm(state.psi))
 
 
 def split_sector(source, n_left):
@@ -60,8 +192,8 @@ def split_sector(source, n_left):
 def project_left_number(source, n_left):
     """Split the StateVector source and project on left atom number n_left.
 
-    Returns (probability, normalized ConditionalState).  A zero-mass
-    sector is an impossible measurement outcome and raises.
+    Returns (probability, normalized Sector).  A zero-mass sector is an
+    impossible measurement outcome and raises.
     """
     a = split_sector(source, n_left)
     mass = float(np.vdot(a, a).real)
@@ -69,7 +201,7 @@ def project_left_number(source, n_left):
         raise ZeroProbabilityError(
             f"sector n_left = {n_left} has zero probability; cannot condition on it"
         )
-    return mass, ConditionalState(n_left, source.n_total - n_left, a / math.sqrt(mass))
+    return mass, Sector(n_left, source.n_total - n_left, a / math.sqrt(mass))
 
 
 def split_moments(source):
@@ -79,13 +211,13 @@ def split_moments(source):
     n = source.n_total
     a = source.amplitudes[:, None]
     norm = np.vdot(a, a).real
-    images = [observables._apply_component(a, axis, "left", n, 0) for axis in "xyz"]
+    images = [_apply_component(a, axis, "left", n, 0) for axis in "xyz"]
     m = np.array([np.vdot(a, img).real for img in images]) / norm
     # C from centred images: <S^i S^j> - m_i m_j cancels terms of size
     # N^2 and leaves E_CM(t = 0) at -7e-10 instead of -7e-13 at N = 500
     centred = np.stack([(img - mi * a).ravel() for img, mi in zip(images, m)])
     c = (centred.conj() @ centred.T).real / norm
-    return observables._vacuum_port(n, m, 0.5 * (c + c.T))
+    return _vacuum_port(n, m, 0.5 * (c + c.T))
 
 
 def _as_two_j(x, name):
@@ -198,17 +330,17 @@ def log_negativity_dense(state, max_n=8):
     """Dense partial-transpose route, independent of the Schmidt identity.
 
     Materializes the density matrix, transposes the left factor
-    explicitly, and sums the absolute eigenvalues.  A ConditionalState
-    or SplitMixedState only occupies fixed-(N_L, N_R) subspaces, and the
-    left transpose maps each onto itself, so each subspace is
+    explicitly, and sums the absolute eigenvalues.  A ConditionalState,
+    Sector or SplitMixedState only occupies fixed-(N_L, N_R) subspaces,
+    and the left transpose maps each onto itself, so each subspace is
     diagonalised on its own.  A StateVector stands for its own split
     state, which is coherent across sectors and needs the full tensor
     product of the two well spaces.  Refuses n_total beyond max_n
     (default 8).
     """
-    if not isinstance(state, (ConditionalState, SplitMixedState, StateVector)):
+    if not isinstance(state, (ConditionalState, Sector, SplitMixedState, StateVector)):
         raise TypeError(
-            "expected a ConditionalState, SplitMixedState or the StateVector to split"
+            "expected a ConditionalState, Sector, SplitMixedState or the StateVector to split"
         )
     n = state.n_total
     if n > max_n:
@@ -225,7 +357,7 @@ def log_negativity_dense(state, max_n=8):
                 for k_r in range(n - n_left + 1):
                     vec[il * d + index[(n - n_left, k_r)]] = psi[k_l, k_r]
         return math.log2(_partial_transpose_trace_norm(np.outer(vec, vec.conj()), d, d))
-    blocks = [(1.0, state)] if isinstance(state, ConditionalState) else state.blocks
+    blocks = state.blocks if isinstance(state, SplitMixedState) else [(1.0, state)]
     sectors = {}
     for weight, block in blocks:
         vec = block.psi.reshape(-1)
@@ -239,7 +371,7 @@ def log_negativity_dense(state, max_n=8):
 
 
 def _check_blocks(blocks):
-    """n_total of a list of (weight, ConditionalState) with weights in
+    """n_total of a list of (weight, state) with weights in
     (0, 1] and one total atom number."""
     if not blocks:
         raise ValueError("a mixture needs at least one block")
@@ -253,10 +385,10 @@ def _check_blocks(blocks):
 
 
 def mixture_moments(blocks):
-    """MomentSet of the mixture of (weight, ConditionalState) blocks,
-    sector by sector in O(N^2) per block.
+    """MomentSet of the mixture of (weight, Sector or ConditionalState)
+    blocks, sector by sector in O(N^2) per block.
 
-    Raw second moments (observables._gram, looked up at call time) are
+    Raw second moments (_gram, looked up at call time) are
     weight-averaged first and then centered on the aggregate means, and
     everything is normalized by the summed weight.
     """
@@ -265,19 +397,16 @@ def mixture_moments(blocks):
     agg_means = np.zeros(6)
     total = 0.0
     for weight, block in blocks:
-        raw, means = observables._gram(block)
+        raw, means = _gram(block)
         agg_raw += weight * raw
         agg_means += weight * means
         total += weight
-    return observables._finalize(agg_raw / total, agg_means / total, n_total)
+    return _finalize(agg_raw / total, agg_means / total, n_total)
 
 
 def block_trace_norms(blocks):
-    """(weight, ||psi||_*, 0.0) per (weight, ConditionalState) block, in
+    """(weight, ||psi||_*, 0.0) per (weight, state) block, in
     the form entangle._block_trace_norms gives: each block decomposed
     whole by a complex SVD, so the slack is 0."""
     _check_blocks(blocks)
-    return [
-        (w, float(np.sum(np.linalg.svd(b.psi, compute_uv=False))), 0.0)
-        for w, b in blocks
-    ]
+    return [(w, _nuclear_norm(b.psi), 0.0) for w, b in blocks]

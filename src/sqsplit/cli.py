@@ -19,17 +19,18 @@ the command line, so it gets the same types and choices, explicit flags
 win, null leaves the flag unset, and a key that is not one of the
 command's flags is a usage error.  A time must be finite and keep the
 twisting phase 8 |t| n^2 finite; --steps is at most 10^5, criteria's
---n at most 10^15 and mixed entanglement's at most 2000, and one
-conditional sector holds at most 2^20 amplitudes.
+--n at most 10^15 (10^9 in conditional mode) and mixed entanglement's
+at most 2000, and the one conditional sector of state and conditional
+entanglement holds at most 2^20 amplitudes.
 
 entanglement writes t,logneg_lo,logneg_hi in mixed mode, the certified
 log_negativity_bracket of the windowed sector mixture (a wider
 --epsilon widens it), and t,logneg in conditional mode, the one
 sector's untrimmed log negativity.
 
-A mixed-mode criteria point costs O(1) at any N: closed-form moments,
-witnesses that read each MomentSet once as plain floats, one argparse
-pass and one binary write.
+A criteria point costs O(1) at any N in either mode: closed-form
+moments, witnesses that read each MomentSet once as plain floats, one
+argparse pass and one binary write.
 
 Outputs are deterministic: floats are printed with 17 significant
 digits, lines end with LF, the parsed flags other than --config, --out
@@ -37,9 +38,8 @@ and --threads are echoed into every output (a '#'-prefixed JSON comment
 line in CSV files), and sweeps fan t-points over a thread pool whose
 results are written in input order, so --threads never changes a byte.
 Nor does the BLAS library's own thread count change a criteria or
-steering file: mixed-mode moments are closed forms with no BLAS
-reduction, and one conditional sector's moments (n = 2000) came out the
-same under one and two OpenBLAS threads.  Nor does it change an
+steering file: the moments of either mode are closed forms with no
+BLAS reduction.  Nor does it change an
 entanglement file: each sector is decomposed from its real entangler
 parts C and S, whose singular values came out the same under one and
 two OpenBLAS threads (one conditional sector at n = 400, where those of
@@ -64,7 +64,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entangle import _entangler_bounds, log_negativity_bracket, log_negativity_mixed
+from .entangle import log_negativity_bracket, log_negativity_mixed, log_negativity_pure
 # unused here; kept because perfbench's criteria workload patches sqsplit.cli.rotate_moments
 from .observables import moments, rotate_moments  # noqa: F401
 from .statekit import (
@@ -87,18 +87,7 @@ __all__ = [
     "main",
 ]
 
-_CRITERIA_COLUMNS = (
-    "t",
-    "E_D",
-    "E_CM",
-    "E_G",
-    "xi",
-    "E_LR",
-    "E_RL",
-    "g_y",
-    "g_z",
-    "theta",
-)
+_CRITERIA_COLUMNS = ("t", "E_D", "E_CM", "E_G", "xi", "E_LR", "E_RL", "g_y", "g_z", "theta")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -140,7 +129,6 @@ class SweepConfig:
                 raise UsageError("--mode conditional requires --nl")
             if not 0 <= self.nl <= self.n:
                 raise UsageError("--nl must lie in [0, n]")
-            _check_sector(self.n, self.nl)
         if self.steps < 1:
             raise UsageError("--steps must be positive")
         if self.steps > _STEPS_MAX:
@@ -168,10 +156,17 @@ def _fmt(x):
 # also keeps n, n - 1 and n - 2 exact doubles.
 _N_MAX = 10**15
 
-# Largest entry count (nl + 1)(n - nl + 1) of one conditional sector:
-# at n = 2000, nl = 1000 (1,002,001 entries) a criteria point took 0.30 s
-# and 275 MB, an entanglement point 0.74 s, and state 7.5 s and 514 MB
-# on 2 vCPUs; at n = 3000 they took 546 MB, 3.8 s and 1.1 GB.
+# Largest conditional criteria --n: a row's xi, which reads the total
+# spin alone, must equal the mixed row's, but both sum per-well terms of
+# size n/4 to a variance of size n^(1/3); they differ by 2.3e-10
+# (relative) at 10^9 and 1.5e-9 at 10^10, worst over t n^(2/3) in
+# 0.01 .. 10 and nl / n in 0 .. 1.
+_CONDITIONAL_N_MAX = 10**9
+
+# Largest entry count (nl + 1)(n - nl + 1) of the one conditional sector
+# of state and conditional entanglement: at n = 2000, nl = 1000
+# (1,002,001 entries) an entanglement point took 0.74 s, and state 7.5 s
+# and 514 MB on 2 vCPUs; at n = 3000 they took 3.8 s and 1.1 GB.
 _SECTOR_ENTRIES_MAX = 2**20
 
 # Largest --steps, checked before the time grid is allocated: criteria
@@ -274,19 +269,20 @@ def run_entanglement_sweep(cfg):
     In mixed mode each row is (t, lower, upper), the certified
     log_negativity_bracket of mixed_split_state(n, t, window=epsilon):
     a wider --epsilon window drops more sectors and widens the bracket.
-    In conditional mode each row is (t, log negativity), ||psi||_* of
-    the sector taken, untrimmed, from its real entangler parts C and S,
-    as a mixture's sector pair's.
+    In conditional mode each row is (t, log negativity), the
+    log_negativity_pure of the sector, taken untrimmed from its real
+    entangler parts C and S, as a mixture's sector pair's.
     """
     if cfg.mode == "mixed" and cfg.n > _MIXED_N_MAX:
         raise UsageError(f"mixed-state negativity is limited to n <= {_MIXED_N_MAX}")
+    if cfg.mode == "conditional":
+        _check_sector(cfg.n, cfg.nl)
 
     def one(t):
         t = float(t)
         if cfg.mode == "mixed":
             return (t, *log_negativity_bracket(mixed_split_state(cfg.n, t, window=cfg.epsilon)))
-        s, _ = _entangler_bounds(cfg.nl, cfg.n - cfg.nl, t, 0.0)
-        return t, 2.0 * math.log2(s)
+        return t, log_negativity_pure(effective_evolution(cfg.nl, cfg.n - cfg.nl, t))
 
     return _parallel_map(one, cfg.time_grid(), cfg.threads)
 
@@ -298,16 +294,19 @@ def run_criteria_sweep(cfg):
     number collapse: every witness reads moments of operators that
     conserve N_L, which the binomial mixture over N_L sectors shares
     exactly, so no mixture is built and --epsilon plays no part.  The
-    split state is twisted_split(n, t), whose moments are the closed
+    split state is twisted_split(n, t) and the conditional sector
+    effective_evolution(nl, n - nl, t); the moments of both are closed
     forms of the one-axis-twisted coherent state (Kitagawa & Ueda,
-    PRA 47, 5138 (1993)): each point costs O(1) at any N, and no BLAS
-    reduction enters, so the bytes do not depend on the BLAS threads.
-    In conditional mode the moments of one sector take O(N^2).
+    PRA 47, 5138 (1993)), so each point costs O(1) at any N, no
+    amplitude is built and no BLAS reduction enters: the bytes do not
+    depend on the BLAS threads.
     """
     if cfg.n < 3:
         raise UsageError("criteria needs --n >= 3 for the squeezing angle")
     if cfg.n > _N_MAX:
         raise UsageError("criteria is limited to n <= 10^15")
+    if cfg.mode == "conditional" and cfg.n > _CONDITIONAL_N_MAX:
+        raise UsageError("conditional criteria is limited to n <= 10^9")
 
     def one(t):
         t = float(t)
@@ -353,13 +352,14 @@ class EquivalenceReport:
     sector_law_error: float
     moment_error: float
     mixture_moment_error: float
+    sector_moment_error: float
     negativity_error: float
     bracket_excess: float
     threej_error: float
     passed: bool
 
     def lines(self):
-        out = [
+        return [
             f"equivalence suite: N = 1..{self.max_n}, "
             f"{len(self.t_values)} squeezing times, {self.checks} sector checks",
             f"worst amplitude residual {self.worst_residual:.3e} "
@@ -367,13 +367,13 @@ class EquivalenceReport:
             f"worst sector-probability error {self.sector_law_error:.3e}",
             f"worst closed-form split-moment error {self.moment_error:.3e}",
             f"worst sector-route mixture-moment error {self.mixture_moment_error:.3e}",
+            f"worst closed-form sector-moment error {self.sector_moment_error:.3e}",
             f"worst dense-vs-C/S mixed negativity error {self.negativity_error:.3e}",
             f"worst dense negativity outside the bracket {self.bracket_excess:.3e}",
             f"worst Racah-vs-recursion 3j error {self.threej_error:.3e} "
             f"(2j = 0..{self.max_n})",
             f"tolerance {self.tolerance:.1e}: {'PASS' if self.passed else 'FAIL'}",
         ]
-        return out
 
 
 def _worse(worst, err):
@@ -392,6 +392,7 @@ def _moment_gap(got, want):
 # Largest verify --n.  A whole `sqsplit verify --n` process (median of 5,
 # 2 vCPUs, one BLAS thread) took 0.36 s at 12, 0.74 s at 16 and 1.36 s
 # at 20; 16 keeps the suite under 2 s when the host runs 1.7x slower.
+# The sector-moment check took --n 16 from 0.58 s to 0.66 s.
 _VERIFY_N_MAX = 16
 
 
@@ -406,12 +407,13 @@ def run_equivalence_suite(
     For every N <= max_n, every left sector and every probe time, the
     projected sector of the beam-split twisted coherent state is
     compared elementwise with the closed-form conditional state, and
-    sector probabilities are compared with the exact binomial law
-    C(N, N_L) / 2^N.  At every N and probe time the closed-form moments
-    of twisted_split(N, t) are compared with the O(N) moments of the
-    split amplitudes and with the moments of mixed_split_state(N, t,
-    window=0) summed sector by sector (observables._gram per block),
-    both relative to the largest covariance entry; the dense partial
+    its Gram moments with the closed-form moments of that state; sector
+    probabilities are compared with the exact binomial law C(N, N_L) /
+    2^N.  At every N and probe time the closed-form moments of
+    twisted_split(N, t) are compared with the O(N) moments of the split
+    amplitudes and with the Gram moments of mixed_split_state(N, t,
+    window=0) summed sector by sector; every moment check is relative
+    to the largest covariance entry.  The dense partial
     transpose of that mixture is compared with log_negativity_mixed and
     must lie inside log_negativity_bracket.  For every 2j <= max_n the
     recursive 3j table is compared entry by entry with the Racah sum.
@@ -427,52 +429,52 @@ def run_equivalence_suite(
         raise UsageError(f"equivalence suite supports 1 <= max_n <= {_VERIFY_N_MAX}")
     worst = 0.0
     worst_case = None
-    sector_err = 0.0
-    moment_err = 0.0
-    mixture_err = 0.0
-    negativity_err = 0.0
-    excess = 0.0
     checks = 0
+    errors = dict.fromkeys(
+        ("sector_law_error", "moment_error", "mixture_moment_error", "sector_moment_error",
+         "negativity_error", "bracket_excess", "threej_error"),
+        0.0,
+    )
+
+    def note(name, err):
+        errors[name] = _worse(errors[name], err)
+
     for n in range(1, max_n + 1):
         for t in t_values:
             state = one_axis_twist(spin_coherent(_INV_SQRT2, _INV_SQRT2, n), t)
             closed = moments(twisted_split(n, t))
-            moment_err = _worse(moment_err, _moment_gap(closed, _oracles.split_moments(state)))
+            note("moment_error", _moment_gap(closed, _oracles.split_moments(state)))
             mixture = mixed_split_state(n, t, window=0.0)
             sectors = _oracles.mixture_moments(mixture.blocks)
-            mixture_err = _worse(mixture_err, _moment_gap(sectors, closed))
+            note("mixture_moment_error", _moment_gap(sectors, closed))
             dense = _oracles.log_negativity_dense(mixture, max_n=max_n)
-            negativity_err = _worse(negativity_err, abs(dense - log_negativity_mixed(mixture)))
+            note("negativity_error", abs(dense - log_negativity_mixed(mixture)))
             low, high = log_negativity_bracket(mixture)
             outside = 0.0 if low <= dense <= high else max(low - dense, dense - high)
-            excess = _worse(excess, outside)
+            note("bracket_excess", outside)
             for n_left in range(n + 1):
                 prob, cond = _oracles.project_left_number(state, n_left)
                 reference = effective_evolution(n_left, n - n_left, t)
+                gram = _oracles.sector_moments(cond)
+                note("sector_moment_error", _moment_gap(moments(reference), gram))
                 psi = reference.psi
                 if phase_error != 0.0:
-                    twiddle = np.exp(
-                        1j * phase_error * np.arange(n_left + 1)[:, None]
-                    )
-                    psi = psi * twiddle
+                    psi = psi * np.exp(1j * phase_error * np.arange(n_left + 1)[:, None])
                 # a NaN residual reads inf
                 residual = _worse(0.0, float(np.abs(cond.psi - psi).max()))
                 expected = math.comb(n, n_left) / 2**n
-                law = abs(prob - expected) / expected
+                note("sector_law_error", abs(prob - expected) / expected)
                 checks += 1
                 if residual > worst:
                     worst = residual
                     worst_case = (n, n_left, float(t))
-                sector_err = _worse(sector_err, law)
-    threej_err = 0.0
     for two_j in range(max_n + 1):
         table = _threej_table(two_j)
         j = 0.5 * two_j
         for (k, i, ip), got in np.ndenumerate(table):
             m, mp = i - j, ip - j
             want = _oracles.wigner_3j(j, k, j, -m, m - mp, mp) if abs(i - ip) <= k else 0.0
-            threej_err = _worse(threej_err, abs(float(got) - want))
-    errors = (worst, sector_err, moment_err, mixture_err, negativity_err, excess, threej_err)
+            note("threej_error", abs(float(got) - want))
     return EquivalenceReport(
         max_n=max_n,
         t_values=tuple(float(t) for t in t_values),
@@ -480,13 +482,8 @@ def run_equivalence_suite(
         checks=checks,
         worst_residual=worst,
         worst_case=worst_case,
-        sector_law_error=sector_err,
-        moment_error=moment_err,
-        mixture_moment_error=mixture_err,
-        negativity_error=negativity_err,
-        bracket_excess=excess,
-        threej_error=threej_err,
-        passed=all(err <= tolerance for err in errors),
+        **errors,
+        passed=all(err <= tolerance for err in (worst, *errors.values())),
     )
 
 

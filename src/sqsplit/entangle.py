@@ -2,16 +2,16 @@
 
 For a pure conditional state the trace norm of the partial transpose is
 (sum of Schmidt coefficients)^2, so E = log2 ||rho^{T_L}||_1 comes from
-a singular value decomposition of the amplitude matrix.  For the
-sector mixture, blocks with different left atom number stay mutually
-orthogonal under left partial transposition, so the trace norms add
-with their sector weights.  The dense route that materializes the
-density matrix and transposes the left factor explicitly checks both
-from sqsplit._oracles (in `sqsplit verify` and the tests).
+a singular value decomposition.  For the sector mixture, blocks with
+different left atom number stay mutually orthogonal under left partial
+transposition, so the trace norms add with their sector weights.  The
+dense route that materializes the density matrix and transposes the
+left factor explicitly, and the complex SVD of the amplitude matrix,
+check both from sqsplit._oracles (in `sqsplit verify` and the tests).
 
-The mixture from mixed_split_state is never built.  Its sectors follow
-the paper's picture of the split-then-collapse state: each cloud
-squeezed on its own, then an entangling operation.  With u = 2k_l - N_L
+No amplitude matrix is decomposed.  A conditional state, and each
+sector of the mixture from mixed_split_state, is the paper's split-then-
+collapse state: each cloud squeezed on its own, then an entangler.  With u = 2k_l - N_L
 and v = 2k_r - N_R the sector phase (u + v)^2 t splits into the local
 squeezings u^2 t and v^2 t, which are diagonal unitaries and leave the
 singular values alone, and the entangler 2uv t.  The entangler's
@@ -23,14 +23,9 @@ them up to a transpose, so one SVD call serves both.
 
 Every entangler phase is 2t m at an integer m = uv, so one mixture
 fills a single table of cos(2tm) and sin(2tm) and each pair gathers its
-C and S from it, bit for bit the entries a per-entry sin and cos would
-give.  The certified bracket also trims C and S, and the trim does not
-depend on t: since cos^2 + sin^2 = 1, row u of C (+) S has squared norm
-w_u^2 a_u^2 at every t, and column v likewise.  So the kept part is the
-leading block of small |u| and |v|, cut from the weight tails before
-anything is built, and the upper bound widens by sqrt(r d), d the
-dropped mass and r <= 2 min(m, n, dropped rows + dropped columns) the
-rank the dropped part of the m x n matrices C and S can hold.
+C and S from it (_phase_table).  The certified bracket also trims C and
+S to a leading block cut from the weight tails alone, which does not
+depend on t (_entangler_spectrum).
 """
 
 import math
@@ -70,19 +65,22 @@ class SchmidtSpectrum:
 
 
 def schmidt(state):
-    """Schmidt spectrum of a ConditionalState across the two wells."""
-    lam = np.linalg.svd(state.psi, compute_uv=False)
-    return SchmidtSpectrum(lam)
+    """Schmidt spectrum of a ConditionalState across the two wells: the
+    min(N_L, N_R) + 1 largest singular values of its real entangler
+    parts C and S (C (+) S may hold one more, a zero of S's zero row)."""
+    lam, _ = _entangler_spectrum(state.n_left, state.n_right, state.t, 0.0)
+    return SchmidtSpectrum(np.sort(lam, axis=None)[::-1][: min(state.n_left, state.n_right) + 1])
 
 
 def log_negativity_pure(state):
-    """log2 of the partial-transpose trace norm of a pure two-well state.
+    """log2 of the partial-transpose trace norm of a ConditionalState.
 
-    Equals 2 log2(sum of Schmidt coefficients); zero iff the state is a
-    product across the wells, at most log2(min(N_L, N_R) + 1).
+    Equals 2 log2(sum of Schmidt coefficients), here the untrimmed
+    nuclear norm of its real entangler parts C and S; zero iff the state
+    is a product across the wells, at most log2(min(N_L, N_R) + 1).
     """
-    lam = schmidt(state).coefficients
-    return 2.0 * math.log2(float(np.sum(lam)))
+    s, _ = _entangler_bounds(state.n_left, state.n_right, state.t, 0.0)
+    return 2.0 * math.log2(s)
 
 
 # Squared norm the bracket may drop from the heaviest mirror pair before
@@ -157,9 +155,15 @@ def _leading_axis(n, budget):
 
 
 def _entangler_bounds(n_left, n_right, t, budget, table=None, work=None):
-    """(s, slack) bounds on ||psi||_* for effective_evolution(n_left,
-    n_right, t), from real matrices C, S with ||psi||_* = ||C||_* +
-    ||S||_*, in one SVD call.
+    """(s, slack) bounds on ||psi||_*, s the sum of _entangler_spectrum."""
+    lam, slack = _entangler_spectrum(n_left, n_right, t, budget, table, work)
+    return float(lam.sum()), slack
+
+
+def _entangler_spectrum(n_left, n_right, t, budget, table=None, work=None):
+    """(singular values, slack) of the real matrices C, S with
+    ||psi||_* = ||C||_* + ||S||_* for effective_evolution(n_left,
+    n_right, t), in one SVD call; the values are those of C, then S.
 
     With u = 2k_l - N_L, v = 2k_r - N_R and half-weights a, b the
     amplitudes are a_u b_v exp(i t (u + v)^2).  Dropping the local
@@ -210,8 +214,7 @@ def _entangler_bounds(n_left, n_right, t, budget, table=None, work=None):
     m, n = n_left // 2 + 1, n_right // 2 + 1
     dropped = m - u.size + n - v.size
     slack = math.sqrt(2 * min(m, n, dropped) * (drop_u * mass_v + drop_v * mass_u))
-    lam = np.linalg.svd(parts, compute_uv=False)
-    return float(lam.sum()), slack
+    return np.linalg.svd(parts, compute_uv=False), slack
 
 
 def _block_trace_norms(mixture, budget=0.0):
@@ -294,27 +297,23 @@ def log_negativity_bracket(mixture):
     Missing sectors contribute a trace-norm factor between 1 (product)
     and min(N_L, N_R) + 1 (maximally entangled), weighted by their
     untruncated probabilities.  In a mixture that records t, each mirror
-    pair of present blocks shares one decomposition and is trimmed
-    before its SVD, dropping a squared norm d: the kept submatrix's
-    nuclear norm s bounds the block's from below and s + sqrt(r d) from
-    above, r the rank the dropped rows and columns can hold, so the
-    lower sum takes p s^2 and the upper p (s + sqrt(r d))^2.  The
-    heaviest pair (weights summed) may drop d <= 1e-30 and one of
+    pair of present blocks shares one decomposition of its entangler
+    parts C and S, trimmed to their leading block before the SVD
+    (_entangler_spectrum), dropping a squared norm d: the kept nuclear
+    norm s bounds the block's from below and s + sqrt(r d) from above,
+    so the lower sum takes p s^2 and the upper p (s + sqrt(r d))^2.
+    The heaviest pair (weights summed) may drop d <= 1e-30 and one of
     weight p drops d <= 1e-30 (p_max / p)^2, at most 1e-8, so each
     term's slack p sqrt(d) is the heaviest one's and a light pair runs
-    a smaller SVD.  The trim keeps the leading block |u| <= U, |v| <= V
-    of the entangler parts C and S, U and V read off the weight tails
-    alone (row u of C (+) S has squared norm w_u^2 a_u^2 at every t),
-    with r <= 2 min(m, n, dropped rows + dropped columns) for m x n
-    parts; the entries of the kept block come from one table of
-    cos(2tm) and sin(2tm) per mixture, m = uv.
+    a smaller SVD.
 
     Both sums are then widened by the relative roundoff margin
     (K + 4 M) eps, K the number of terms and M the largest m n of a
     matrix to decompose, before its trim: LAPACK's backward error moves
     each of the r = min(m, n) singular values by <= max(m, n) eps
     sigma_1, so s by <= (m n + r) eps s and s^2 by <= 4 m n eps s^2.
-    At N = 500 that is 1.4e-11.  Rounding in the entries (weights, phases) is not covered.
+    At N = 500 that is 1.4e-11.  Rounding in the entries (weights,
+    phases) is not covered.
     """
     n = mixture.n_total
     terms = _block_trace_norms(mixture, _TRIM_BUDGET)

@@ -3,24 +3,23 @@
 Spin components per well follow the Schwinger convention
 S^z |k> = (2k - N)|k>, S^x |k> = sqrt((k+1)(N-k))|k+1> + sqrt(k(N-k+1))|k-1>,
 so [S^x, S^y] = 2i S^z and a fully polarized well has |<S>| = N.
-Operators are applied as banded stencils on the amplitude matrix (no
-operator matrices are ever materialized), which keeps everything
-O(N^2) and exact.  First and second moments of the six components
+First and second moments of the six components
 (S_L^x, S_L^y, S_L^z, S_R^x, S_R^y, S_R^z) are collected into a
 MomentSet: the symmetrized covariance matrix V and the commutator
-matrix Omega that the entanglement witnesses consume.  The moments of
-a beam-split state follow from those of the single ensemble that
-entered the splitter, in O(1) from the closed forms of the
-one-axis-twisted coherent state.
+matrix Omega that the entanglement witnesses consume.  moments() reads
+the split state and one number-collapsed sector of it; both are the
+one-axis-twisted coherent state seen through the wells, so every moment
+is O(1) from the Kitagawa & Ueda closed forms and no amplitude is built.
+The stencils that apply each component to an amplitude matrix, O(N^2)
+per sector, are the oracle in sqsplit._oracles.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .statekit import _PER_N_CACHE, ConditionalState, SplitFullState, StateVector
+from .statekit import ConditionalState, SplitFullState, StateVector
 
 __all__ = [
     "MomentSet",
@@ -30,39 +29,6 @@ __all__ = [
     "reduced_density_left",
     "project_right_fock",
 ]
-
-_COMPONENTS = ("x", "y", "z")
-_WELLS = ("left", "right")
-
-
-@lru_cache(maxsize=_PER_N_CACHE)
-def _ladder(n):
-    """sqrt((k+1)(n-k)) for k = 0..n-1 (raising coefficients)."""
-    k = np.arange(n)
-    u = np.sqrt((k + 1.0) * (n - k))
-    u.setflags(write=False)
-    return u
-
-
-def _apply_component(psi, axis, well, n_left, n_right):
-    if well == "right":
-        # the right well acts on the second index: the left-well body on psi.T
-        return _apply_component(psi.T, axis, "left", n_right, n_left).T
-    n = n_left
-    if axis == "z":
-        m = 2.0 * np.arange(n + 1) - n
-        return m[:, None] * psi
-    out = np.zeros_like(psi)
-    if n == 0:
-        return out
-    u = _ladder(n)[:, None]
-    if axis == "x":
-        out[1:] += u * psi[:-1]
-        out[:-1] += u * psi[1:]
-    else:  # y
-        out[1:] += -1j * u * psi[:-1]
-        out[:-1] += 1j * u * psi[1:]
-    return out
 
 
 @dataclass(frozen=True)
@@ -79,35 +45,6 @@ class MomentSet:
     means: np.ndarray
     V: np.ndarray
     Omega: np.ndarray
-
-
-def _gram(state):
-    """Stack (psi, A_1 psi .. A_6 psi) and form all inner products at once,
-    each divided by <psi|psi>: a state is accepted with its squared norm
-    within 1e-9 of 1, and its moments are those of the normalized state."""
-    psi = state.psi
-    nl, nr = state.n_left, state.n_right
-    stack = np.empty((7, psi.size), dtype=complex)
-    stack[0] = psi.ravel()
-    idx = 1
-    for well in _WELLS:
-        for axis in _COMPONENTS:
-            stack[idx] = _apply_component(psi, axis, well, nl, nr).ravel()
-            idx += 1
-    g7 = stack.conj() @ stack.T
-    norm = g7[0, 0].real
-    return g7[1:, 1:] / norm, g7[0, 1:].real / norm
-
-
-def _finalize(raw, means, n_total):
-    v = raw.real - np.outer(means, means)
-    omega = 2.0 * raw.imag
-    # different wells commute exactly
-    omega[:3, 3:] = 0.0
-    omega[3:, :3] = 0.0
-    v = 0.5 * (v + v.T)
-    omega = 0.5 * (omega - omega.T)
-    return MomentSet(n_total, means, v, omega)
 
 
 def _vacuum_port(n, m, c):
@@ -139,22 +76,33 @@ def _vacuum_port(n, m, c):
         v += same[i:i + 3] + cross[i:i + 3]
     for i in (0, 3, 6):
         v += cross[i:i + 3] + same[i:i + 3]
-    z = 0.0
-    omega = [
-        z, m2, -m1, z, z, z,
-        -m2, z, m0, z, z, z,
-        m1, -m0, z, z, z, z,
-        z, z, z, z, m2, -m1,
-        z, z, z, -m2, z, m0,
-        z, z, z, m1, -m0, z,
-    ]
     half = [0.5 * m0, 0.5 * m1, 0.5 * m2]
     return MomentSet(
         n,
         np.array(half + half, dtype=float),
         np.array(v, dtype=float).reshape(6, 6),
-        np.array(omega, dtype=float).reshape(6, 6),
+        _omega([m0, m1, m2], [m0, m1, m2]),
     )
+
+
+def _omega(left, right):
+    """Omega of two wells with 2 <S_L> = left and 2 <S_R> = right (plain
+    floats): eps_ijk times the mean within each well, [S^i, S^j] =
+    2i eps_ijk S^k, and 0.0 across the wells."""
+    a0, a1, a2 = left
+    b0, b1, b2 = right
+    z = 0.0
+    return np.array(
+        [
+            z, a2, -a1, z, z, z,
+            -a2, z, a0, z, z, z,
+            a1, -a0, z, z, z, z,
+            z, z, z, z, b2, -b1,
+            z, z, z, -b2, z, b0,
+            z, z, z, b1, -b0, z,
+        ],
+        dtype=float,
+    ).reshape(6, 6)
 
 
 def _cos_power(k, s, c):
@@ -210,28 +158,67 @@ def _twist_moments(n, t):
     )
 
 
-def moments(state):
-    """MomentSet of a ConditionalState or SplitFullState.
+def _sector_moments(n_left, n_right, t):
+    """MomentSet of the conditional state effective_evolution(n_left,
+    n_right, t), in closed form.
 
-    A SplitFullState, twisted_split(n, t), is read from the ensemble
-    that entered the splitter, the twisted coherent state, whose
-    moments are closed forms (Kitagawa & Ueda, PRA 47, 5138 (1993)):
-    O(1) at any N, no amplitude is built.  Every one of the six
+    That state is the twisted coherent state of all N = N_L + N_R atoms
+    written in the well basis, so it is symmetric under the exchange of
+    any two atoms: with m and C the closed forms of _twist_moments(N, t),
+    one atom has <sigma> = m / N and two distinct atoms have
+    <sigma^i sigma^j> = (D + m m^T)_ij / (N (N - 1)), D = C - N I.
+    Summing over the atoms of each well leaves, with
+    x = N_L N_R / (N^2 (N - 1)),
+        <S_L> = (N_L / N) m,  <S_R> = (N_R / N) m,
+        V_LL = N_L I + N_L (N_L - 1) / (N (N - 1)) D - x m m^T,
+        V_RR = N_R I + N_R (N_R - 1) / (N (N - 1)) D - x m m^T,
+        V_LR = V_RL = N_L N_R / (N (N - 1)) D + x m m^T,
+    and Omega per well from its mean.  Below N = 2 there is no atom pair:
+    the one atom, if any, carries the ensemble's moments in its well.
+    """
+    n = n_left + n_right
+    m, c = _twist_moments(n, t)
+    if n <= 1:
+        m_l, m_r = n_left * m, n_right * m
+        v_ll, v_rr, v_lr = n_left * c, n_right * c, np.zeros((3, 3))
+    else:
+        pair = n * (n - 1.0)
+        d = c - n * np.eye(3)
+        mm = (n_left * n_right / (n * pair)) * np.outer(m, m)
+        v_ll = n_left * np.eye(3) + (n_left * (n_left - 1.0) / pair) * d - mm
+        v_rr = n_right * np.eye(3) + (n_right * (n_right - 1.0) / pair) * d - mm
+        v_lr = (n_left * n_right / pair) * d + mm
+        m_l, m_r = (n_left / n) * m, (n_right / n) * m
+    return MomentSet(
+        n,
+        np.concatenate([m_l, m_r]),
+        np.block([[v_ll, v_lr], [v_lr, v_rr]]),
+        _omega((2.0 * m_l).tolist(), (2.0 * m_r).tolist()),
+    )
+
+
+def moments(state):
+    """MomentSet of a ConditionalState or SplitFullState, each in closed
+    form from the Kitagawa & Ueda moments of the twisted coherent state
+    (PRA 47, 5138 (1993)): O(1) at any N, no amplitude is built.
+
+    A ConditionalState, effective_evolution(n_left, n_right, t), is that
+    state of all N atoms in the well basis (_sector_moments).  A
+    SplitFullState, twisted_split(n, t), is read from the ensemble that
+    entered the splitter (_vacuum_port).  Every one of the six
     components conserves the left atom number, so these are also
     exactly the moments of the number-collapsed mixture over all
     left-well sectors: mixed_split_state(n, t, window=0) has the
-    moments of twisted_split(n, t), which `sqsplit verify` checks
-    against the O(N) moments of the split amplitudes and the
-    sector-by-sector sum, both in sqsplit._oracles.
+    moments of twisted_split(n, t).  `sqsplit verify` checks both forms
+    against the routes of sqsplit._oracles: the O(N) moments of the
+    split amplitudes, and the Gram moments of each projected sector and
+    of the sector-by-sector sum.
     """
     if isinstance(state, ConditionalState):
-        raw, means = _gram(state)
-        ms = _finalize(raw, means, state.n_total)
-    elif isinstance(state, SplitFullState):
-        ms = _vacuum_port(state.n_total, *_twist_moments(state.n_total, state.t))
-    else:
-        raise TypeError("moments expects a ConditionalState or SplitFullState")
-    return ms
+        return _sector_moments(state.n_left, state.n_right, state.t)
+    if isinstance(state, SplitFullState):
+        return _vacuum_port(state.n_total, *_twist_moments(state.n_total, state.t))
+    raise TypeError("moments expects a ConditionalState or SplitFullState")
 
 
 def _rotate_matrix(m, c, s):

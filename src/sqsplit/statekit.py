@@ -39,8 +39,8 @@ _LN2 = math.log(2.0)
 _PER_N_CACHE = 256
 
 # Largest |norm^2 - 1| a pure state may carry, one tolerance for every
-# check of it: StateVector, ConditionalState, the Schmidt spectrum of a
-# ConditionalState and the real entangler parts of one sector.
+# check of it: StateVector, a hand-built sector (_oracles.Sector), a
+# Schmidt spectrum and the real entangler parts of one sector.
 _NORM_TOL = 1e-9
 
 
@@ -64,28 +64,36 @@ class StateVector:
 
 @dataclass(frozen=True)
 class ConditionalState:
-    """Normalized two-well pure state at fixed left atom number.
-
-    psi[k_l, k_r] is the amplitude for k_l atoms of mode a in the left
-    well and k_r in the right well.
+    """The two-well state effective_evolution(n_left, n_right, t),
+    recorded as those three numbers; moments() and the negativity read
+    nothing else.  psi[k_l, k_r], the amplitude for k_l atoms of mode a
+    in the left well and k_r in the right well, is built on first access.
     """
 
     n_left: int
     n_right: int
-    psi: np.ndarray
+    t: float
 
     def __post_init__(self):
-        if self.n_left < 0 or self.n_right < 0:
-            raise ValueError("well populations must be nonnegative")
-        if self.psi.shape != (self.n_left + 1, self.n_right + 1):
-            raise ValueError("amplitude matrix shape must be (n_left+1, n_right+1)")
-        norm = float(np.vdot(self.psi, self.psi).real)
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"conditional state is not normalized (norm^2 = {norm})")
+        for n in (self.n_left, self.n_right):
+            if not (isinstance(n, int) and n >= 0):
+                raise ValueError("well populations must be nonnegative integers")
+        if not math.isfinite(self.t):
+            raise ValueError("twisting time must be finite")
 
     @property
     def n_total(self):
         return self.n_left + self.n_right
+
+    @cached_property
+    def psi(self):
+        """sqrt(C(N_L,k_l) C(N_R,k_r) / 2^N) exp(i (2 k_l + 2 k_r - N)^2 t)."""
+        mag = np.outer(
+            _coherent_half_weights(self.n_left), _coherent_half_weights(self.n_right)
+        )
+        phase = np.exp(1j * self.t * _imbalance_sq(self.n_total))
+        # psi[k_l, k_r] takes phase[k_l + k_r]: a zero-copy Hankel view
+        return mag * sliding_window_view(phase, self.n_right + 1)
 
 
 class SplitMixedState:
@@ -95,10 +103,9 @@ class SplitMixedState:
     mixture records its atom number n_total, its twisting time t and its
     sectors, the (weight, n_left) pairs sorted by n_left.  The weights are the
     untruncated sector probabilities, so they sum to at most one (less
-    when a truncation window was applied).  blocks, the list of
-    (weight, ConditionalState), is built only on first access, so a
-    consumer that needs only (n_left, n_right, t) never pays for the
-    amplitude matrices.
+    when a truncation window was applied).  blocks is the list of
+    (weight, ConditionalState) records; none builds its amplitudes until
+    they are read.
     """
 
     def __init__(self, n_total, t, sectors):
@@ -123,18 +130,8 @@ class SplitMixedState:
 
     @cached_property
     def blocks(self):
-        n = self.n_total
-        low = {}
-        blocks = []
-        for weight, l in self.sectors:
-            mirror = n - l
-            if l <= mirror:
-                state = effective_evolution(l, mirror, self.t)
-                low[l] = state
-            else:
-                state = ConditionalState(l, mirror, low[mirror].psi.T)
-            blocks.append((weight, state))
-        return blocks
+        n, t = self.n_total, self.t
+        return [(weight, ConditionalState(l, n - l, t)) for weight, l in self.sectors]
 
     @property
     def retained_mass(self):
@@ -208,10 +205,14 @@ def twisted_split(n, t):
     An integral float n such as 500.0 is taken as that integer; any
     other n is refused, not truncated.
     """
-    # written so that a NaN or infinite n fails too
+    return SplitFullState(_atom_count(n), float(t))
+
+
+def _atom_count(n):
+    """n as an int when it is integral; a NaN or infinite n fails too."""
     if not float(n).is_integer():
         raise ValueError("atom number must be an integer")
-    return SplitFullState(int(n), float(t))
+    return int(n)
 
 
 @lru_cache(maxsize=_PER_N_CACHE)
@@ -231,22 +232,15 @@ def _imbalance_sq(n):
 
 
 def effective_evolution(n_left, n_right, t):
-    """Conditional state built directly from its closed form.
+    """The conditional state as the record ConditionalState(n_left,
+    n_right, t); an integral float population is taken as that integer.
 
-    Equals exp(i (S_L^z + S_R^z)^2 t) applied to the product of two
-    x-polarized coherent states: amplitudes
-    sqrt(C(N_L,k_l) C(N_R,k_r) / 2^N) exp(i (2 k_l + 2 k_r - N)^2 t).
-    Identical (to 1e-12) to split-then-project on the twisted coherent
-    state; that equivalence is what run_equivalence_suite certifies.
+    Its amplitudes are exp(i (S_L^z + S_R^z)^2 t) applied to the product
+    of two x-polarized coherent states, identical (to 1e-12) to
+    split-then-project on the twisted coherent state; that equivalence
+    is what run_equivalence_suite certifies.
     """
-    if n_left < 0 or n_right < 0:
-        raise ValueError("well populations must be nonnegative")
-    n = n_left + n_right
-    mag = np.outer(_coherent_half_weights(n_left), _coherent_half_weights(n_right))
-    phase = np.exp(1j * t * _imbalance_sq(n))
-    # psi[k_l, k_r] takes phase[k_l + k_r]: a zero-copy Hankel view
-    psi = mag * sliding_window_view(phase, n_right + 1)
-    return ConditionalState(n_left, n_right, psi)
+    return ConditionalState(_atom_count(n_left), _atom_count(n_right), float(t))
 
 
 def _window_order(n):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sqsplit
-from sqsplit import entangle, observables, wigner
+from sqsplit import _oracles, entangle, observables, wigner
 from sqsplit._oracles import mixture_moments
 from sqsplit.cli import (
     EquivalenceReport,
@@ -25,7 +25,7 @@ from sqsplit.cli import (
     run_equivalence_suite,
 )
 from sqsplit.entangle import log_negativity_bracket, log_negativity_pure
-from sqsplit.observables import moments
+from sqsplit.observables import MomentSet, moments
 from sqsplit.statekit import effective_evolution, mixed_split_state, twisted_split
 from sqsplit.wigner import (
     conditional_wigner_closed,
@@ -424,6 +424,51 @@ def test_criteria_at_n100000_runs_in_a_second():
     assert elapsed < 1.0
 
 
+def _xi_theta(cfg):
+    columns = list(CRITERIA_COLUMNS)
+    rows = run_criteria_sweep(cfg)
+    return [(row[columns.index("xi")], row[columns.index("theta")]) for row in rows]
+
+
+@pytest.mark.parametrize("n", [10, 500, 10**6])
+def test_conditional_rows_share_the_mixed_total_spin(n):
+    # xi and theta read only the total spin S_L + S_R, which a number
+    # collapsed sector shares with the split state: each conditional row
+    # must give the mixed row's xi and theta, at any N_L
+    grid = dict(t_min=0.0, t_max=3.0 * n ** (-2.0 / 3.0), steps=7)
+    want = _xi_theta(SweepConfig(n=n, **grid))
+    for nl in (0, 1, n // 3, n // 2, n - 1, n):
+        got = _xi_theta(SweepConfig(n=n, mode="conditional", nl=nl, **grid))
+        for (xi, theta), (xi_ref, theta_ref) in zip(got, want):
+            assert theta == theta_ref
+            assert abs(xi - xi_ref) <= 1e-11 * abs(xi_ref), (nl, xi, xi_ref)
+
+
+def test_conditional_rows_share_the_mixed_xi_at_the_cap():
+    # the two forms round apart by 2.3e-10 at n = 10^9, the largest
+    # conditional criteria n; 10^10 would reach 1.5e-9
+    n = 10**9
+    grid = dict(t_min=0.1 * n ** (-2.0 / 3.0), t_max=3.0 * n ** (-2.0 / 3.0), steps=4)
+    want = _xi_theta(SweepConfig(n=n, **grid))
+    for nl in (n // 10, n // 3, n // 2):
+        got = _xi_theta(SweepConfig(n=n, mode="conditional", nl=nl, **grid))
+        for (xi, _), (xi_ref, _) in zip(got, want):
+            assert abs(xi - xi_ref) <= 1e-9 * abs(xi_ref), (nl, xi, xi_ref)
+
+
+def test_conditional_criteria_at_n1e6_runs_in_a_second():
+    # the sector's moments are closed forms: no amplitude matrix is built
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["criteria", "--mode", "conditional", "--n", "1000000", "--nl", "500000"]
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    _, columns, rows = parse_csv(out)
+    assert len(rows) == 200 and all(len(row) == len(columns) for row in rows)
+    assert elapsed < 1.0
+
+
 def _blas_thread_outputs(tmp_path, argv):
     """The --out bytes of one command line under one and two BLAS
     threads, each in a fresh process, since BLAS reads its thread count
@@ -448,10 +493,15 @@ def _blas_thread_outputs(tmp_path, argv):
 
 
 def test_criteria_bytes_do_not_depend_on_blas_threads(tmp_path):
-    blobs = _blas_thread_outputs(
-        tmp_path, ["criteria", "--n", "20000", "--steps", "5", "--t-max", "0.002"]
-    )
-    assert blobs[0] == blobs[1]
+    # both modes read closed-form moments; the conditional case is above
+    # the old 2^20-amplitude sector cap, where a BLAS product formed them
+    for argv in (
+        ["criteria", "--n", "20000", "--steps", "5", "--t-max", "0.002"],
+        ["criteria", "--mode", "conditional", "--n", "20000", "--nl", "7000",
+         "--steps", "5", "--t-max", "0.002"],
+    ):
+        blobs = _blas_thread_outputs(tmp_path, argv)
+        assert blobs[0] == blobs[1], argv
 
 
 @pytest.mark.parametrize(
@@ -779,8 +829,8 @@ HUGE_N = str(10**200)
           "--t-max", "0"], "conditional sector"),
         (["state", "--n", HUGE_N, "--nl", "1", "--t", "0"], "conditional sector"),
         (["state", "--n", "2047", "--nl", "1023"], "conditional sector"),
-        (["criteria", "--n", "100000", "--mode", "conditional", "--nl", "50000",
-          "--steps", "1", "--t-max", "0"], "conditional sector"),
+        (["criteria", "--n", str(10**9 + 1), "--mode", "conditional", "--nl", "500000000",
+          "--steps", "1", "--t-max", "0"], "n <= 10^9"),
         (["entanglement", "--n", "100000", "--mode", "conditional", "--nl", "20",
           "--steps", "1"], "conditional sector"),
         # a time grid of 10^12 points would take 8 TB
@@ -798,9 +848,17 @@ def test_oversized_n_exits_2_before_allocating(argv, message):
 def test_size_caps_sit_where_stated():
     # the largest criteria n, sector and step count are accepted; they
     # are checked on the settings alone, nothing is allocated
-    assert SweepConfig(n=2046, mode="conditional", nl=1023).nl == 1023  # 1024^2 = 2^20
+    fits = SweepConfig(n=2046, mode="conditional", nl=1023, steps=1)  # 1024^2 = 2^20
+    assert len(run_entanglement_sweep(fits)) == 1
     with pytest.raises(UsageError, match="conditional sector"):
-        SweepConfig(n=2047, mode="conditional", nl=1023)
+        run_entanglement_sweep(SweepConfig(n=2047, mode="conditional", nl=1023))
+    code, out, err = run_cli(["state", "--n", "2047", "--nl", "1023"])
+    assert code == 2 and out == "" and "conditional sector" in err
+    # conditional criteria builds no sector: its cap is on n alone
+    top = SweepConfig(n=10**9, mode="conditional", nl=10**9 // 3, steps=1)
+    assert len(run_criteria_sweep(top)) == 1
+    with pytest.raises(UsageError, match="n <= 10\\^9"):
+        run_criteria_sweep(SweepConfig(n=10**9 + 1, mode="conditional", nl=1, steps=1))
     assert SweepConfig(n=4, steps=10**5).steps == 10**5
     with pytest.raises(UsageError, match="--steps"):
         SweepConfig(n=4, steps=10**5 + 1)
@@ -934,7 +992,8 @@ def test_verify_passes_and_reports():
     assert "PASS" in lines[-1]
     assert "sector" in out
     assert "split-moment" in out
-    for check in ("mixture-moment", "mixed negativity", "outside the bracket", "3j"):
+    for check in ("mixture-moment", "sector-moment", "mixed negativity",
+                  "outside the bracket", "3j"):
         assert check in out, check
 
 
@@ -976,7 +1035,7 @@ def _verify_fails_only_on(*failing):
     assert "FAIL" in out
     report = run_equivalence_suite(max_n=4)
     fields = ("worst_residual", "sector_law_error", "moment_error", "mixture_moment_error",
-              "negativity_error", "bracket_excess", "threej_error")
+              "sector_moment_error", "negativity_error", "bracket_excess", "threej_error")
     for name in fields:
         assert (getattr(report, name) > 1e-12) == (name in failing), name
 
@@ -1008,11 +1067,11 @@ def test_verify_fails_on_a_flipped_threej_sign(monkeypatch):
 
 
 def _gram_on_the_left_index(state):
-    """observables._gram with the right-well images taken on the left
+    """_oracles._gram with the right-well images taken on the left
     index, a fault the O(N) split-moment route never reads."""
     psi, nl, nr = state.psi, state.n_left, state.n_right
     images = [psi] + [
-        observables._apply_component(psi, axis, "left", nl, nr)
+        _oracles._apply_component(psi, axis, "left", nl, nr)
         for _ in ("left", "right")
         for axis in ("x", "y", "z")
     ]
@@ -1022,10 +1081,28 @@ def _gram_on_the_left_index(state):
 
 
 def test_verify_fails_on_a_gram_fault(monkeypatch):
-    # the sector-route mixture moments pin _gram, the moments of
-    # criteria --mode conditional
-    monkeypatch.setattr(observables, "_gram", _gram_on_the_left_index)
-    _verify_fails_only_on("mixture_moment_error")
+    # the closed forms pin the Gram oracle, through the sector-route
+    # mixture moments and through each projected sector
+    monkeypatch.setattr(_oracles, "_gram", _gram_on_the_left_index)
+    _verify_fails_only_on("mixture_moment_error", "sector_moment_error")
+
+
+def test_verify_fails_on_a_swapped_sector_mean(monkeypatch):
+    # the Gram moments of each projected sector pin the closed form of a
+    # ConditionalState: m_L = (N_R / N) m in place of (N_L / N) m, and
+    # with it Omega_LL, which is formed from m_L
+    real = observables._sector_moments
+
+    def swapped(n_left, n_right, t):
+        ms = real(n_left, n_right, t)
+        flip = real(n_right, n_left, t)
+        means = np.concatenate([flip.means[:3], ms.means[3:]])
+        omega = ms.Omega.copy()
+        omega[:3, :3] = flip.Omega[:3, :3]
+        return MomentSet(ms.n_total, means, ms.V, omega)
+
+    monkeypatch.setattr(observables, "_sector_moments", swapped)
+    _verify_fails_only_on("sector_moment_error")
 
 
 def test_verify_size_cap():
@@ -1045,6 +1122,7 @@ def test_equivalence_report_counts():
     assert report.moment_error <= 1e-12
     assert report.sector_law_error <= 1e-12
     assert report.mixture_moment_error <= 1e-12
+    assert report.sector_moment_error <= 1e-12
     assert report.negativity_error <= 1e-12
     assert report.bracket_excess == 0.0
     assert report.threej_error <= 1e-12

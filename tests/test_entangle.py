@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqsplit import entangle, statekit
-from sqsplit._oracles import block_trace_norms, log_negativity_dense, split_sector
+from sqsplit._oracles import (
+    Sector,
+    block_trace_norms,
+    log_negativity_dense,
+    log_negativity_svd,
+    schmidt_svd,
+    split_sector,
+)
 from sqsplit.entangle import (
     _TRIM_BUDGET,
     _TRIM_CAP,
@@ -23,7 +30,6 @@ from sqsplit.entangle import (
 )
 from sqsplit.specfun import log_binomial
 from sqsplit.statekit import (
-    ConditionalState,
     _coherent_half_weights,
     effective_evolution,
     mixed_split_state,
@@ -44,15 +50,15 @@ def test_schmidt_spectrum_guards():
 
 
 def test_schmidt_spectrum_accepts_what_the_state_accepted():
-    # one norm tolerance: a state ConditionalState accepts has a Schmidt
-    # spectrum SchmidtSpectrum accepts (it checked 1e-10 against 1e-9)
+    # one norm tolerance: a state Sector accepts has a Schmidt spectrum
+    # SchmidtSpectrum accepts (it checked 1e-10 against 1e-9)
     base = effective_evolution(3, 4, 0.1)
-    state = ConditionalState(3, 4, base.psi * math.sqrt(1.0 + 5e-10))
+    state = Sector(3, 4, base.psi * math.sqrt(1.0 + 5e-10))
     assert statekit._NORM_TOL == 1e-9
-    got = log_negativity_pure(state)
+    got = log_negativity_svd(state)
     assert abs(got - log_negativity_pure(base)) <= 1e-9
     with pytest.raises(ValueError):
-        ConditionalState(3, 4, base.psi * math.sqrt(1.0 + 2e-9))
+        Sector(3, 4, base.psi * math.sqrt(1.0 + 2e-9))
 
 
 def test_schmidt_product_state():
@@ -72,10 +78,10 @@ def test_schmidt_normalization_random_times():
 def test_maximally_entangled_spectrum():
     psi = np.zeros((6, 6), dtype=complex)
     np.fill_diagonal(psi, 1.0 / math.sqrt(6.0))
-    state = ConditionalState(5, 5, psi)
-    lam = schmidt(state).coefficients
+    state = Sector(5, 5, psi)
+    lam = schmidt_svd(state).coefficients
     assert np.allclose(lam, 1.0 / math.sqrt(6.0), atol=1e-13)
-    assert abs(log_negativity_pure(state) - math.log2(6)) < 1e-12
+    assert abs(log_negativity_svd(state) - math.log2(6)) < 1e-12
 
 
 def test_log_negativity_zero_at_product_times():
@@ -109,8 +115,8 @@ def test_log_negativity_local_unitary_invariance():
     base = log_negativity_pure(state)
     for s in (0.4, 1.9):
         phases = np.exp(1j * s * (2.0 * np.arange(6) - 5) ** 2)
-        rotated = ConditionalState(5, 6, phases[:, None] * state.psi)
-        assert abs(log_negativity_pure(rotated) - base) < 1e-12
+        rotated = Sector(5, 6, phases[:, None] * state.psi)
+        assert abs(log_negativity_svd(rotated) - base) < 1e-12
 
 
 def test_pure_against_dense_partial_transpose():
@@ -318,7 +324,8 @@ def test_entangler_parts_match_complex_svd(n_left, n_right, t):
 
 
 def test_entangler_parts_check_the_norm():
-    # the check the ConditionalState constructor made on every block
+    # the norm check a hand-built Sector makes of its amplitudes, made
+    # here of the C/S parts
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not normalized"):
         _entangler_bounds(5, 7, math.inf, 0.0)
 
@@ -342,13 +349,14 @@ def test_negativity_never_builds_a_block(monkeypatch):
     def refuse(*args):
         raise AssertionError("a sector block was built")
 
-    monkeypatch.setattr(statekit, "effective_evolution", refuse)
+    # a block is a record; building it means building its amplitudes
+    monkeypatch.setattr(statekit.ConditionalState, "psi", property(refuse))
     low, high = log_negativity_bracket(mixed_split_state(500, 0.0037))
     assert 0.0 < high - low <= 1e-9
     assert log_negativity_mixed(mixed_split_state(60, 0.3, window=0.0)) > 1.0
-    # the patch bites as soon as something asks for the blocks
+    # the patch bites as soon as something asks for a block's amplitudes
     with pytest.raises(AssertionError):
-        mixed_split_state(4, 0.1).blocks
+        mixed_split_state(4, 0.1).blocks[0][1].psi
 
 
 def test_recorded_time_svds_are_real(monkeypatch):
@@ -609,3 +617,25 @@ def test_cached_axis_trims_are_read_only():
             with pytest.raises(ValueError):
                 vector[0] = 1
     assert _leading_axis.cache_info().maxsize is not None
+
+
+_SMALL_SECTORS = [(n_left, n - n_left) for n in range(7) for n_left in range(n + 1)]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.3, math.pi / 8])
+def test_pure_negativity_and_schmidt_match_the_complex_svd(t):
+    # the real C/S route against the complex SVD of the amplitude matrix,
+    # at every (N_L, N_R) with N <= 6
+    for n_left, n_right in _SMALL_SECTORS:
+        state = effective_evolution(n_left, n_right, t)
+        assert abs(log_negativity_pure(state) - log_negativity_svd(state)) <= 1e-13
+        got, want = schmidt(state).coefficients, schmidt_svd(state).coefficients
+        assert got.shape == want.shape == (min(n_left, n_right) + 1,)
+        assert np.abs(got - want).max() <= 1e-13, (n_left, n_right)
+
+
+def test_pure_negativity_builds_no_amplitudes():
+    state = effective_evolution(300, 200, 0.01)
+    assert log_negativity_pure(state) > 0.0
+    assert schmidt(state).coefficients.size == 201
+    assert "psi" not in vars(state)

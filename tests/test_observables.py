@@ -6,18 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqsplit._oracles import mixture_moments, project_left_number, split_moments
+from sqsplit._oracles import (
+    Sector,
+    _apply_component,
+    mixture_moments,
+    project_left_number,
+    sector_moments,
+    split_moments,
+)
 from sqsplit.observables import (
     DensityMatrix,
     MomentSet,
-    _apply_component,
     moments,
     project_right_fock,
     reduced_density_left,
     rotate_moments,
 )
 from sqsplit.statekit import (
-    ConditionalState,
     StateVector,
     effective_evolution,
     mixed_split_state,
@@ -54,17 +59,17 @@ def _random_conditional(n_left, n_right, seed):
         size=(n_left + 1, n_right + 1)
     )
     psi /= np.linalg.norm(psi)
-    return ConditionalState(n_left, n_right, psi)
+    return Sector(n_left, n_right, psi)
 
 
 def _apply(axis, well, state):
-    """The stencil image of one spin component, as moments() forms it."""
+    """The stencil image of one spin component, as the Gram oracle forms it."""
     return _apply_component(state.psi, axis, well, state.n_left, state.n_right)
 
 
 def test_apply_spin_single_atom_raise():
     psi = np.array([[1.0], [0.0]], dtype=complex)
-    state = ConditionalState(1, 0, psi)
+    state = Sector(1, 0, psi)
     out = _apply("x", "left", state)
     assert np.allclose(out, [[0.0], [1.0]])
 
@@ -72,7 +77,7 @@ def test_apply_spin_single_atom_raise():
 def test_apply_spin_z_eigenvalue():
     psi = np.zeros((11, 1), dtype=complex)
     psi[7, 0] = 1.0
-    state = ConditionalState(10, 0, psi)
+    state = Sector(10, 0, psi)
     out = _apply("z", "left", state)
     assert np.allclose(out, 4.0 * psi)
 
@@ -112,13 +117,13 @@ def test_moments_coherent_product():
 
 
 def test_moments_are_taken_of_the_normalized_state():
-    # a state is accepted with norm^2 within 1e-9 of 1; its moments are
-    # those of the normalized state, not its raw products: unnormalized,
-    # this product state gave V_xx = -5.0e-6 and E_CM = -5.0e-8
+    # a sector is accepted with norm^2 within 1e-9 of 1; its Gram moments
+    # are those of the normalized state, not its raw products:
+    # unnormalized, this product state gave V_xx = -5.0e-6 and E_CM = -5.0e-8
     scale = math.sqrt(1.0 + 5e-10)
     psi = effective_evolution(100, 100, 0.0).psi
-    exact = moments(ConditionalState(100, 100, psi))
-    scaled = moments(ConditionalState(100, 100, psi * scale))
+    exact = sector_moments(Sector(100, 100, psi))
+    scaled = sector_moments(Sector(100, 100, psi * scale))
     source = one_axis_twist(spin_coherent(INV_SQRT2, INV_SQRT2, 100), 0.01)
     split_exact = split_moments(source)
     split_scaled = split_moments(StateVector(100, source.amplitudes * scale))
@@ -187,8 +192,8 @@ def test_mixture_moments_ignore_block_memory_layout():
     # amplitudes: its moments are its own, not the first's with the
     # wells relabeled
     a = effective_evolution(2, 4, 0.17)
-    view = ConditionalState(4, 2, a.psi.T[::-1])
-    copy = ConditionalState(4, 2, view.psi.copy())
+    view = Sector(4, 2, a.psi.T[::-1])
+    copy = Sector(4, 2, view.psi.copy())
     got = mixture_moments([(0.5, a), (0.5, view)])
     want = mixture_moments([(0.5, a), (0.5, copy)])
     for x, y in ((got.means, want.means), (got.V, want.V), (got.Omega, want.Omega)):
@@ -484,7 +489,7 @@ def test_project_right_fock_errors():
         project_right_fock(state, 4)
     psi = np.zeros((2, 2), dtype=complex)
     psi[0, 0] = psi[1, 0] = INV_SQRT2
-    dead_column = ConditionalState(1, 1, psi)
+    dead_column = Sector(1, 1, psi)
     with pytest.raises(ValueError):
         project_right_fock(dead_column, 1)
 
@@ -501,3 +506,26 @@ def test_right_outcome_distribution():
     # projection probabilities reproduce the distribution exactly
     probs = [project_right_fock(state, k)[0] for k in range(11)]
     assert np.allclose(dist, probs, atol=1e-15)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.3, math.pi / 8])
+def test_sector_closed_form_matches_the_gram_oracle(t):
+    # every (N_L, N_R) with N <= 6, the empty and one-atom sectors included
+    for n in range(7):
+        for n_left in range(n + 1):
+            state = effective_evolution(n_left, n - n_left, t)
+            got, want = moments(state), sector_moments(state)
+            assert got.n_total == want.n_total == n
+            scale = max(1.0, float(np.abs(want.V).max()))
+            assert _max_moment_gap(got, want) <= 1e-12 * scale, (n_left, n - n_left)
+
+
+def test_sector_closed_form_builds_no_amplitudes():
+    state = effective_evolution(300, 200, 1e-3)
+    ms = moments(state)
+    assert "psi" not in vars(state)
+    # the wells share the split state's total spin
+    total = ms.V[:3, :3] + ms.V[3:, 3:] + ms.V[:3, 3:] + ms.V[3:, :3]
+    split = moments(twisted_split(500, 1e-3)).V
+    whole = split[:3, :3] + split[3:, 3:] + split[:3, 3:] + split[3:, :3]
+    assert np.abs(total - whole).max() <= 1e-12 * np.abs(whole).max()

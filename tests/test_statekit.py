@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqsplit import observables, statekit
-from sqsplit._oracles import ZeroProbabilityError, project_left_number, split_sector
+from sqsplit import _oracles, observables, statekit
+from sqsplit._oracles import Sector, ZeroProbabilityError, project_left_number, split_sector
 from sqsplit.statekit import (
     ConditionalState,
     SplitMixedState,
@@ -42,11 +42,11 @@ def test_state_vector_guards():
 def test_conditional_state_guards():
     psi = np.zeros((3, 2), dtype=complex)
     psi[0, 0] = 1.0
-    ConditionalState(2, 1, psi)
+    Sector(2, 1, psi)
     with pytest.raises(ValueError):
-        ConditionalState(1, 1, psi)
+        Sector(1, 1, psi)
     with pytest.raises(ValueError):
-        ConditionalState(2, 1, 2.0 * psi)
+        Sector(2, 1, 2.0 * psi)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -60,7 +60,7 @@ def test_constructors_reject_nan_amplitudes():
     with pytest.raises(ValueError):
         StateVector(1, np.array([math.nan, 1.0]))
     with pytest.raises(ValueError):
-        ConditionalState(1, 1, np.full((2, 2), math.nan, dtype=complex))
+        Sector(1, 1, np.full((2, 2), math.nan, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +339,15 @@ def test_mixture_truncation_window():
     assert lefts[0] + lefts[-1] == 500  # centered window
 
 
-def test_mixture_mirror_sectors_are_transposed_views():
-    mix = mixed_split_state(8, 0.19, window=0.0)
-    by_left = {b.n_left: b for _, b in mix.blocks}
-    for l in range(4):
-        lo, hi = by_left[l], by_left[8 - l]
-        assert np.array_equal(hi.psi, lo.psi.T)
-        assert np.shares_memory(hi.psi, lo.psi)
+def test_mixture_blocks_are_records_that_build_no_amplitudes():
+    # len(mixture.blocks) took 0.16 s and 76 MB at N = 500 while every
+    # block built its amplitude matrix; the blocks are now the records
+    mix = mixed_split_state(500, 0.01)
+    assert len(mix.blocks) == len(mix.sectors) == 155
+    for (weight, block), (w, n_left) in zip(mix.blocks, mix.sectors):
+        assert weight == w
+        assert block == ConditionalState(n_left, 500 - n_left, 0.01)
+        assert "psi" not in vars(block)
 
 
 def test_mixture_input_validation():
@@ -503,10 +505,48 @@ def test_per_n_caches_are_bounded():
     wells = {l for _, l in mixture.sectors} | {500 - l for _, l in mixture.sectors}
     assert 150 <= len(wells) <= statekit._PER_N_CACHE
     # more distinct n than the bound leave at most the bound cached
-    caches = (statekit._coherent_half_weights, statekit._imbalance_sq, observables._ladder)
+    caches = (statekit._coherent_half_weights, statekit._imbalance_sq, _oracles._ladder)
     for cache in caches:
         for n in range(statekit._PER_N_CACHE + 64):
             cache(n)
         info = cache.cache_info()
         assert info.maxsize == statekit._PER_N_CACHE
         assert info.currsize <= info.maxsize
+
+
+def test_conditional_state_is_the_recorded_n_left_n_right_t():
+    state = effective_evolution(3, 4, 0.25)
+    assert dataclasses.astuple(state) == (3, 4, 0.25)
+    assert "psi" not in vars(state)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.t = 0.1
+    # psi is built on first access, the same Hankel view every time
+    psi = state.psi
+    assert psi is state.psi
+    assert psi.shape == (4, 5)
+    assert abs(np.vdot(psi, psi).real - 1.0) < 1e-14
+    # an integral float population is that integer
+    assert effective_evolution(3.0, 4.0, 0.25) == state
+    assert type(effective_evolution(3.0, 4.0, 0.25).n_left) is int
+
+
+@pytest.mark.parametrize(
+    "n_left, n_right, t",
+    [
+        (10.7, 3, 0.1),
+        (3, 10.7, 0.1),
+        (math.nan, 3, 0.1),
+        (3, math.inf, 0.1),
+        (-1, 3, 0.1),
+        (3, 4, math.nan),
+        (3, 4, math.inf),
+        (3, 4, -math.inf),
+    ],
+)
+def test_conditional_state_rejects_bad_input(n_left, n_right, t):
+    # 10.7 atoms failed only on the amplitude shape, and a NaN time only
+    # on the norm, with a RuntimeWarning; the record refuses both at once
+    with pytest.raises(ValueError):
+        effective_evolution(n_left, n_right, t)
+    with pytest.raises(ValueError):
+        ConditionalState(n_left, n_right, t)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from sqsplit._oracles import mixture_moments, split_moments
+from sqsplit._oracles import Sector, mixture_moments, sector_moments, split_moments
 from sqsplit.observables import MomentSet, moments, rotate_moments
 from sqsplit.statekit import (
-    ConditionalState,
     effective_evolution,
     mixed_split_state,
     one_axis_twist,
@@ -102,7 +101,7 @@ def test_min_eigenvalue_input_checks():
 def _z_polarized():
     psi = np.zeros((3, 3), dtype=complex)
     psi[0, 0] = 1.0
-    return moments(ConditionalState(2, 2, psi))
+    return sector_moments(Sector(2, 2, psi))
 
 
 def test_dgcz_saturates_at_zero_time():
@@ -496,8 +495,8 @@ def test_steering_implies_giovannetti_detection():
 
 def test_witnesses_symmetric_under_well_exchange():
     state = effective_evolution(8, 8, 0.03)
-    swapped = ConditionalState(8, 8, state.psi.T)
-    a, b = moments(state), moments(swapped)
+    swapped = Sector(8, 8, state.psi.T)
+    a, b = moments(state), sector_moments(swapped)
     assert abs(dgcz(a) - dgcz(b)) < 1e-10
     assert abs(covariance_criterion(a) - covariance_criterion(b)) < 1e-10
     theta = squeezing_angle(16, 0.03)
