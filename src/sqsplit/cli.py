@@ -37,17 +37,15 @@ digits, lines end with LF, the parsed flags other than --config, --out
 and --threads are echoed into every output (a '#'-prefixed JSON comment
 line in CSV files), and sweeps fan t-points over a thread pool whose
 results are written in input order, so --threads never changes a byte.
-Nor does the BLAS library's own thread count change a criteria or
-steering file: the moments of either mode are closed forms with no
-BLAS reduction.  Nor does it change an
-entanglement file: each sector is decomposed from its real entangler
-parts C and S, whose singular values came out the same under one and
-two OpenBLAS threads (one conditional sector at n = 400, where those of
-the complex amplitude matrix differed, and the mixture at n = 800).
-Wigner values come from BLAS matrix products whose
-summation order may follow that thread count (OPENBLAS_NUM_THREADS):
-between one and two OpenBLAS threads, 1,088 of the 65,341 cells of an
-n = 40 lattice differ by up to 4.4e-16.
+No command's bytes follow the BLAS library's own thread count either
+(OPENBLAS_NUM_THREADS); the *_bytes_do_not_depend_on_blas_threads
+tests pin criteria, entanglement and wigner under one and two threads.
+The criteria and steering moments of either mode are closed forms with
+no BLAS reduction; each entanglement sector is decomposed from its real
+entangler parts C and S, whose singular values came out the same under
+one and two threads (one conditional sector at n = 400, where those of
+the complex amplitude matrix differed, and the mixture at n = 800); and
+Wigner values are real einsum half-sums that never call BLAS.
 A witness that is undefined at a time point is written as NaN in CSV
 and as null in JSON, which has no NaN.
 Exit codes: 0 success, 2 usage error, 3 verification failure.

@@ -268,17 +268,18 @@ def mixed_split_state(n, t, window=1e-12):
     the float weights often sum short of 1 by more than the default
     window (by 1.2e-11 at n = 2000), and the sum alone never stops it.
 
-    The mixture records t and its (weight, n_left) sectors; its blocks
-    are built on first access.  Opposite sectors are exact transposes
-    of each other, so the high half of the window is stored as
-    transposed views of the low half.  Nothing else needs the blocks:
-    with u = 2k_l - N_L and v = 2k_r - N_R the sector phase is
-    (u + v)^2 t = u^2 t + v^2 t + 2uv t, that is, squeezing each cloud
-    on its own followed by the entangler exp(2i t uv).  The local
-    squeezings are diagonal unitaries, and the entangler's amplitudes
-    a_u b_v exp(2i t uv) split over mirror-paired Fock states into two
-    real matrices, which is all the negativity decomposes.
+    An integral float n such as 500.0 is taken as that integer.  The
+    mixture records t and its (weight, n_left) sectors; its blocks,
+    (weight, ConditionalState) records, are built on first access.
+    Nothing else needs them: with u = 2k_l - N_L and v = 2k_r - N_R the
+    sector phase is (u + v)^2 t = u^2 t + v^2 t + 2uv t, that is,
+    squeezing each cloud on its own followed by the entangler
+    exp(2i t uv).  The local squeezings are diagonal unitaries, and the
+    entangler's amplitudes a_u b_v exp(2i t uv) split over mirror-paired
+    Fock states into two real matrices, which is all the negativity
+    decomposes.
     """
+    n = _atom_count(n)
     if n < 0:
         raise ValueError("atom number must be nonnegative")
     # written so that a NaN window fails too; it would keep every sector

@@ -9,7 +9,10 @@ table from the three-term recursion in k (within 1e-13 relative of
 sympy's exact values on sampled symbols up to 2j = 120); the scalar
 Racah sum `sqsplit._oracles.wigner_3j`, whose cancellation costs it
 about 1e-11 relative at 2j = 36, checks the table in `sqsplit verify`
-and the tests.  The closed forms
+and the tests.  A Hermitian rho has rho_{k,-q} = (-1)^q conj(rho_kq),
+so W is the real half-sum over q >= 0 of w_q [Re f_q cos(q phi) - Im f_q
+sin(q phi)] with f_q = sum_k rho_kq P_k^q(cos theta), w_0 = 1, w_q = 2,
+formed by einsums that never call BLAS.  The closed forms
 build the left-well density matrix of the marginal (right well traced
 out) and of the heralded state after a right-well Fock measurement
 directly from binomial weights; agreement with the matrices traced or
@@ -19,7 +22,7 @@ construction chain.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .specfun import (
     legendre_table,
     log_binomial,
 )
+from .statekit import _atom_count, effective_evolution
 
 __all__ = [
     "WignerGrid",
@@ -47,24 +51,24 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class WignerGrid:
-    """Wigner function sampled on a sphere quadrature rule.
+    """A spin-j Wigner function: its multipole coefficients c[k, q + 2j]
+    and the quadrature rule it is sampled on.
 
-    values[i, m] = W(theta_i, phi_m).  The multipole coefficients are
-    kept so the same function can be re-evaluated on a display lattice.
+    values[i, m] = W(theta_i, phi_m) on that rule, summed on first read;
+    display_lattice sums the same coefficients on a plotting lattice.
     norm_constant records the trace normalization divided out when the
     underlying closed form is not unit trace by construction.
     """
 
     j: float
     rule: QuadratureRule
-    values: np.ndarray
     coeffs: np.ndarray = field(repr=False)
     norm_constant: float = 1.0
 
-    def __post_init__(self):
-        expected = (self.rule.nodes_costheta.size, self.rule.phi_count)
-        if self.values.shape != expected:
-            raise ValueError("value grid shape does not match the rule")
+    @cached_property
+    def values(self):
+        two_j = int(round(2 * self.j))
+        return _evaluate(self.coeffs, two_j, self.rule.thetas, self.rule.phis)
 
 
 def default_rule(j):
@@ -150,12 +154,18 @@ def _threej_table(two_j):
 
 
 def _multipoles(rho, two_j):
-    """Multipole coefficients c[k, q + 2j] of a spin-j operator.
+    """Multipole coefficients c[k, q + 2j] of a spin-j Hermitian operator.
 
     c_kq = sqrt(2k+1) sum_i (-1)^(2j-i) T[k, i, i-q] rho[i, i-q]: the 4j+1
     diagonals of the table and of the signed matrix are gathered once
-    and contracted in one einsum.
+    and contracted in one einsum.  rho must be Hermitian, as _evaluate's
+    real half-sum assumes; a NaN or inf entry is refused with it.
     """
+    rho = np.asarray(rho)
+    scale = max(1.0, float(np.abs(rho).max()))
+    # written so that a NaN or inf entry fails it
+    if not np.abs(rho - rho.conj().T).max() <= 1e-10 * scale:
+        raise ValueError("density matrix must be Hermitian")
     dim = two_j + 1
     table = _threej_table(two_j)
     rows = np.arange(dim)
@@ -163,7 +173,7 @@ def _multipoles(rho, two_j):
     inside = (cols >= 0) & (cols < dim)
     cols = np.where(inside, cols, 0)
     signs = np.where((two_j - rows) % 2, -1.0, 1.0)
-    diagonals = np.where(inside, signs * np.asarray(rho)[rows, cols], 0.0)
+    diagonals = np.where(inside, signs * rho[rows, cols], 0.0)
     # real and imaginary parts side by side keep the gathered table real
     parts = np.stack((diagonals.real, diagonals.imag))
     re, im = np.einsum("kqi,rqi->rkq", table[:, rows, cols], parts)
@@ -171,21 +181,21 @@ def _multipoles(rho, two_j):
 
 
 def _evaluate(coeffs, two_j, thetas, phis):
-    """Harmonic sum W = sum_kq c_kq Y_kq on a (theta x phi) grid."""
-    k_max = two_j
-    lam = legendre_table(k_max, np.cos(thetas))
-    f = np.zeros((2 * two_j + 1, thetas.size), dtype=complex)
-    for q in range(-k_max, k_max + 1):
-        col = lam[:, abs(q), :]
-        scale = (-1.0) ** q if q < 0 else 1.0
-        f[q + two_j] = scale * (coeffs[:, q + two_j] @ col)
-    phase = np.exp(1j * np.outer(np.arange(-k_max, k_max + 1), phis))
-    w = f.T @ phase
-    residue = float(np.abs(w.imag).max())
-    # written so that a NaN residue fails it
-    if not residue <= 1e-10 * max(1.0, float(np.abs(w.real).max())):
-        raise ValueError(f"Wigner values are not real (imaginary residue {residue})")
-    return w.real
+    """Harmonic sum W = sum_kq c_kq Y_kq on a (theta x phi) grid, as the
+    real half-sum over q >= 0 of a Hermitian operator's multipoles."""
+    half = coeffs[:, two_j:]  # q = 0 .. 2j
+    lam = legendre_table(two_j, np.cos(thetas))
+    # w_q Re f_q(theta) and -w_q Im f_q(theta), f_q = sum_k c_kq P_k^q
+    f = np.einsum("rkq,kqi->rqi", np.stack((half.real, -half.imag)), lam)
+    f[:, 1:] *= 2.0
+    angle = np.multiply.outer(np.arange(two_j + 1), phis)
+    return np.einsum("rqi,rqm->im", f, np.stack((np.cos(angle), np.sin(angle))))
+
+
+def _grid(coeffs, two_j, rule, norm_constant=1.0):
+    if rule is None:
+        rule = default_rule(0.5 * two_j)
+    return WignerGrid(0.5 * two_j, rule, coeffs, norm_constant)
 
 
 def wigner_from_density(rho, rule=None):
@@ -197,16 +207,8 @@ def wigner_from_density(rho, rule=None):
     entries = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("density matrix must be square")
-    scale = max(1.0, float(np.abs(entries).max()))
-    # written so that a NaN or inf entry fails it
-    if not np.abs(entries - entries.conj().T).max() <= 1e-10 * scale:
-        raise ValueError("density matrix must be Hermitian")
     two_j = entries.shape[0] - 1
-    if rule is None:
-        rule = default_rule(0.5 * two_j)
-    coeffs = _multipoles(entries, two_j)
-    values = _evaluate(coeffs, two_j, rule.thetas, rule.phis)
-    return WignerGrid(0.5 * two_j, rule, values, coeffs)
+    return _grid(_multipoles(entries, two_j), two_j, rule)
 
 
 def marginal_wigner_closed(n_left, n_right, t, rule=None):
@@ -217,21 +219,18 @@ def marginal_wigner_closed(n_left, n_right, t, rule=None):
     left-well density matrix is built from binomial weights without
     forming the two-well state.  Unit trace by construction.
     """
-    n = n_left + n_right
-    two_j = n_left
-    if rule is None:
-        rule = default_rule(0.5 * two_j)
+    state = effective_evolution(n_left, n_right, t)  # checks all three
+    two_j, n_right, t = state.n_left, state.n_right, state.t
+    n = two_j + n_right
     k = np.arange(two_j + 1)
-    m, log_binom = k - 0.5 * two_j, log_binomial(n_left, k)
+    m, log_binom = k - 0.5 * two_j, log_binomial(two_j, k)
     diff = np.subtract.outer(m, m)
     rho = (
         np.exp(0.5 * np.add.outer(log_binom, log_binom) - n * _LN2)
         * np.exp(4j * diff * (np.add.outer(m, m) - n_right) * t)
         * (1.0 + np.exp(8j * diff * t)) ** n_right
     )
-    coeffs = _multipoles(rho, two_j)
-    values = _evaluate(coeffs, two_j, rule.thetas, rule.phis)
-    return WignerGrid(0.5 * two_j, rule, values, coeffs)
+    return _grid(_multipoles(rho, two_j), two_j, rule)
 
 
 def conditional_wigner_closed(n_left, n_right, k_r, t, rule=None):
@@ -242,14 +241,14 @@ def conditional_wigner_closed(n_left, n_right, k_r, t, rule=None):
     m + m') t); its multipoles are divided by their trace constant so the
     result is unit trace, and the divisor is recorded as norm_constant.
     """
+    state = effective_evolution(n_left, n_right, t)  # checks all three
+    two_j, n_right, t = state.n_left, state.n_right, state.t
+    k_r = _atom_count(k_r)
     if not 0 <= k_r <= n_right:
         raise ValueError("k_r out of range")
-    n = n_left + n_right
-    two_j = n_left
-    if rule is None:
-        rule = default_rule(0.5 * two_j)
+    n = two_j + n_right
     k = np.arange(two_j + 1)
-    m, log_binom = k - 0.5 * two_j, log_binomial(n_left, k)
+    m, log_binom = k - 0.5 * two_j, log_binomial(two_j, k)
     rho = np.exp(
         0.5 * np.add.outer(log_binom, log_binom)
         + log_binomial(n_right, k_r)
@@ -263,8 +262,7 @@ def conditional_wigner_closed(n_left, n_right, k_r, t, rule=None):
     if norm <= 0.0:
         raise ValueError("conditional state has zero probability")
     coeffs /= norm
-    values = _evaluate(coeffs, two_j, rule.thetas, rule.phis)
-    return WignerGrid(0.5 * two_j, rule, values, coeffs, norm_constant=norm)
+    return _grid(coeffs, two_j, rule, norm_constant=norm)
 
 
 def sphere_integral(grid):
@@ -281,7 +279,7 @@ def negativity_volume(grid):
 
 
 def display_lattice(grid, n_theta=181, n_phi=361):
-    """Re-evaluate the Wigner function on a uniform plotting lattice.
+    """Evaluate the Wigner function on a uniform plotting lattice.
 
     Returns (thetas, phis, values) with thetas spanning [0, pi] and phis
     [0, 2 pi], both endpoint-inclusive; values has shape
@@ -290,5 +288,4 @@ def display_lattice(grid, n_theta=181, n_phi=361):
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
     two_j = int(round(2 * grid.j))
-    values = _evaluate(grid.coeffs, two_j, thetas, phis)
-    return thetas, phis, values
+    return thetas, phis, _evaluate(grid.coeffs, two_j, thetas, phis)

@@ -511,6 +511,24 @@ def test_entanglement_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner", "--n", "40", "--nl", "36", "--t", "0.05"],
+        ["wigner", "--n", "40", "--nl", "36", "--kind", "conditional", "--kr", "2",
+         "--t", "0.3"],
+    ],
+    ids=["marginal", "conditional"],
+)
+def test_wigner_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
+    # the harmonic sum is a real einsum that never calls BLAS; its two
+    # complex matrix products moved 1,088 of the conditional cells
+    blobs = _blas_thread_outputs(tmp_path, argv)
+    assert blobs[0] == blobs[1]
+    sidecars = [(tmp_path / f"blas{threads}.json").read_bytes() for threads in "12"]
+    assert sidecars[0] == sidecars[1]
+
+
 def test_criteria_gain_refinement_converges_at_large_eg():
     # E_G is about 2.4e4 here, far above the detection threshold: the
     # gains and the (non-detecting) minimum are still finite
@@ -957,6 +975,23 @@ def test_wigner_csv_matches_per_cell_writer(tmp_path, kind):
     code, text, _ = run_cli(argv)
     assert code == 0
     assert text.encode() == got
+
+
+def test_wigner_sums_only_the_display_lattice(monkeypatch):
+    # the closed form builds multipoles only; the one harmonic sum is
+    # the lattice the command writes
+    calls = []
+    evaluate = wigner._evaluate
+
+    def counted(coeffs, two_j, thetas, phis):
+        calls.append((thetas.size, phis.size))
+        return evaluate(coeffs, two_j, thetas, phis)
+
+    monkeypatch.setattr(wigner, "_evaluate", counted)
+    for kind in (["--kind", "marginal"], ["--kind", "conditional", "--kr", "1"]):
+        calls.clear()
+        assert run_cli(["wigner", "--n", "6", "--nl", "4", "--t", "0.2", *kind])[0] == 0
+        assert calls == [(181, 361)]
 
 
 def test_wigner_usage_errors():

@@ -353,6 +353,13 @@ def test_mixture_blocks_are_records_that_build_no_amplitudes():
 def test_mixture_input_validation():
     with pytest.raises(ValueError):
         mixed_split_state(-1, 0.1)
+    # n is read as twisted_split and effective_evolution read it: an
+    # integral float is that integer (it was a TypeError), and 10.5 is
+    # refused with a ValueError, not a TypeError
+    assert mixed_split_state(500.0, 0.01).sectors == mixed_split_state(500, 0.01).sectors
+    assert isinstance(mixed_split_state(500.0, 0.01).n_total, int)
+    with pytest.raises(ValueError):
+        mixed_split_state(10.5, 0.1)
     with pytest.raises(ValueError):
         mixed_split_state(4, 0.1, window=-1e-3)
     # a NaN window compared false both ways and kept all 501 sectors of

@@ -1,6 +1,6 @@
 """Every validator rejects a NaN or inf entry.
 
-Each Hermitian, trace, residue or normalization check is written as
+Each Hermitian, trace or normalization check is written as
 `if not err <= tol: raise`, so an error that comes out NaN fails it
 instead of passing every `err > tol` comparison.
 """
@@ -14,7 +14,7 @@ from sqsplit._oracles import _partial_transpose_trace_norm
 from sqsplit.entangle import SchmidtSpectrum
 from sqsplit.observables import DensityMatrix
 from sqsplit.specfun import QuadratureRule
-from sqsplit.wigner import _evaluate, wigner_from_density
+from sqsplit.wigner import _multipoles, wigner_from_density
 from sqsplit.witness import hermitian_min_eigenvalue
 
 
@@ -26,16 +26,8 @@ _CASES = {
     "hermitian_min_eigenvalue": (ValueError, lambda bad: hermitian_min_eigenvalue(_diagonal(bad))),
     "DensityMatrix": (ValueError, lambda bad: DensityMatrix(_diagonal(bad))),
     "wigner_from_density": (ValueError, lambda bad: wigner_from_density(_diagonal(bad))),
-    # the harmonic sum of one spin-1/2 multipole set
-    "_evaluate": (
-        ValueError,
-        lambda bad: _evaluate(
-            np.array([[bad, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex),
-            1,
-            np.array([0.3, 1.2]),
-            np.array([0.0, 2.0]),
-        ),
-    ),
+    # the Hermitian check every Wigner function passes, closed forms too
+    "_multipoles": (ValueError, lambda bad: _multipoles(_diagonal(bad), 1)),
     "SchmidtSpectrum": (ValueError, lambda bad: SchmidtSpectrum(np.array([1.0, bad]))),
     "_partial_transpose_trace_norm": (
         AssertionError,

@@ -10,7 +10,6 @@ from sqsplit.observables import project_right_fock, reduced_density_left
 from sqsplit.specfun import gauss_legendre_sphere
 from sqsplit.statekit import effective_evolution
 from sqsplit.wigner import (
-    WignerGrid,
     conditional_wigner_closed,
     default_rule,
     display_lattice,
@@ -34,18 +33,53 @@ def test_default_rule_size():
     assert rule.phi_count == 24
 
 
-def test_grid_shape_guard():
-    rule = default_rule(1.0)
-    with pytest.raises(ValueError):
-        WignerGrid(1.0, rule, np.zeros((2, 2)), np.zeros((3, 5), dtype=complex))
-
-
 def test_wigner_input_validation():
     with pytest.raises(ValueError):
         wigner_from_density(np.ones((2, 3)))
     skew = np.array([[0.5, 0.2], [0.3, 0.5]])
     with pytest.raises(ValueError):
         wigner_from_density(skew)
+    # inputs that describe no state: each used to return wrong numbers
+    # (k_r = 4.5 read as 4, n_right = -3 a sphere integral of 1.07) or a
+    # TypeError, and a NaN t failed only as an "imaginary residue nan"
+    for build in (
+        lambda: conditional_wigner_closed(10, 10, 4.5, 0.1),
+        lambda: conditional_wigner_closed(10, 10, math.nan, 0.1),
+        lambda: conditional_wigner_closed(10, -3, 0, 0.1),
+        lambda: conditional_wigner_closed(10, 10, 2, math.nan),
+        lambda: marginal_wigner_closed(10, -3, 0.1),
+        lambda: marginal_wigner_closed(-1, 10, 0.1),
+        lambda: marginal_wigner_closed(10, 10.5, 0.1),
+        lambda: marginal_wigner_closed(10.5, 10, 0.1),
+        lambda: marginal_wigner_closed(10, 10, math.nan),
+        lambda: marginal_wigner_closed(10, 10, math.inf),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    # an integral float population is that integer, as in effective_evolution
+    floats = marginal_wigner_closed(10.0, 10.0, 0.1)
+    ints = marginal_wigner_closed(10, 10, 0.1)
+    assert floats.j == 5.0 and np.array_equal(floats.coeffs, ints.coeffs)
+    heralded = conditional_wigner_closed(10, 10.0, 4.0, 0.1)
+    assert np.array_equal(heralded.coeffs, conditional_wigner_closed(10, 10, 4, 0.1).coeffs)
+
+
+def test_closed_form_grid_sums_values_only_when_read(monkeypatch):
+    calls = []
+    evaluate = wigner._evaluate
+
+    def counted(*args):
+        calls.append(args[1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(wigner, "_evaluate", counted)
+    grids = (marginal_wigner_closed(6, 4, 0.2), conditional_wigner_closed(6, 4, 1, 0.2))
+    assert calls == []
+    for grid in grids:
+        first = grid.values
+        assert grid.values is first  # summed once, then cached
+        assert first.shape == (grid.rule.nodes_costheta.size, grid.rule.phi_count)
+    assert calls == [6, 6]
 
 
 def test_sphere_integral_tracks_trace():
@@ -82,8 +116,8 @@ def test_wigner_linearity():
 
 
 def test_wigner_scales_with_the_matrix():
-    # the imaginary-residue check is relative to the values: at this size
-    # the roundoff residue of 1e3 rho is about 7e-9
+    # the Hermitian check is relative to the largest entry, so 1e3 rho
+    # passes it as rho does
     rho = reduced_density_left(effective_evolution(40, 40, 0.2)).entries
     want = 1e3 * wigner_from_density(rho).values
     got = wigner_from_density(1e3 * rho).values
@@ -270,6 +304,18 @@ def test_threej_table_matches_racah_sum(two_j):
                 m, mp = i - j, ip - j
                 want = wigner_3j(j, k, j, -m, m - mp, mp) if abs(i - ip) <= k else 0.0
                 assert abs(table[k, i, ip] - want) <= 2e-15, (k, i, ip)
+
+
+@pytest.mark.parametrize("two_j", range(13))
+def test_threej_table_matches_exact_symbols_everywhere(two_j):
+    # every entry up to 2j = 12 against sympy's exact symbol (worst
+    # 2.2e-16); the entries outside |m - m'| <= k are exact zeros
+    table = wigner._threej_table(two_j)
+    for (k, i, ip), got in np.ndenumerate(table):
+        if abs(i - ip) > k:
+            assert got == 0.0, (k, i, ip)
+        else:
+            assert abs(got - float(_sympy_3j(two_j, k, i, ip))) <= 1e-15, (k, i, ip)
 
 
 @pytest.mark.parametrize("two_j", [20, 36, 40])
